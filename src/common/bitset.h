@@ -8,10 +8,14 @@
 /// universe {0, ..., n-1}.  Bitset stores such a subset as packed 64-bit
 /// words and provides the full set algebra, subset/intersection predicates,
 /// set-bit iteration, hashing and ordering, all branch-light and inlined.
+/// The popcount-bound word loops (Count, IntersectionCount*, CountAtLeast)
+/// are the exception: they live out of line in bitset.cc as
+/// runtime-dispatched kernels (see hgm::popcount below).
 ///
 /// Invariant: bits at positions >= size() in the last word are always zero,
 /// so whole-word comparisons and popcounts are exact.
 
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <compare>
@@ -23,6 +27,62 @@
 #include <vector>
 
 namespace hgm {
+
+/// Word-array popcount kernels, the innermost loop of every support count.
+///
+/// The default x86-64 target has no POPCNT instruction, so std::popcount
+/// compiles to a call into libgcc's bit-twiddling __popcountdi2, several
+/// times slower per word.  bitset.cc therefore compiles each loop twice: a
+/// portable table built for the default target, and a hardware table
+/// whose entry points carry __attribute__((target("popcnt"))).  The first
+/// call of Active() picks the hardware table when
+/// __builtin_cpu_supports("popcnt") holds and the portable one otherwise;
+/// no build option or environment variable takes part.  Both tables give
+/// identical results, so the choice never changes an output.
+namespace popcount {
+
+/// One implementation of every dispatched loop.  Word counts are
+/// arbitrary (0 allowed).  The capped kernels return the exact count
+/// when it is below \p cap, and otherwise the (>= cap) running count at
+/// the 4-word block where it crossed, so the result is always a lower
+/// bound of the exact count; cap 0 returns 0.
+struct Kernels {
+  /// Σ popcount(a[i]).
+  size_t (*count)(const uint64_t* a, size_t nw);
+  /// Capped Σ popcount(a[i]).
+  size_t (*count_capped)(const uint64_t* a, size_t nw, size_t cap);
+  /// Σ popcount(a[i] & b[i]).
+  size_t (*and_count)(const uint64_t* a, const uint64_t* b, size_t nw);
+  /// Capped Σ popcount(a[i] & b[i]).
+  size_t (*and_count_capped)(const uint64_t* a, const uint64_t* b,
+                             size_t nw, size_t cap);
+  /// Capped Σ popcount(rows[0][i] & ... & rows[k-1][i]), k >= 1: the
+  /// support of a k-itemset from its item tidsets.
+  size_t (*chain_and_count_capped)(const uint64_t* const* rows, size_t k,
+                                   size_t nw, size_t cap);
+};
+
+/// The table built for the default target (std::popcount as compiled).
+const Kernels& Portable();
+
+/// The table built for POPCNT, or nullptr on targets without such a
+/// variant (non-x86).  Only call its entries when the CPU supports popcnt.
+const Kernels* Hardware();
+
+namespace detail {
+/// The chosen table; null until the first Active() call resolves it.
+extern std::atomic<const Kernels*> g_active;
+const Kernels& Resolve();
+}  // namespace detail
+
+/// The table this process uses: Hardware() when the CPU supports popcnt,
+/// else Portable().  Chosen once, on first call.
+inline const Kernels& Active() {
+  const Kernels* k = detail::g_active.load(std::memory_order_relaxed);
+  return k != nullptr ? *k : detail::Resolve();
+}
+
+}  // namespace popcount
 
 /// A subset of the universe {0, ..., size()-1}, packed into 64-bit words.
 class Bitset {
@@ -104,9 +164,7 @@ class Bitset {
 
   /// Number of elements in the subset.
   size_t Count() const {
-    size_t c = 0;
-    for (uint64_t w : words_) c += static_cast<size_t>(std::popcount(w));
-    return c;
+    return popcount::Active().count(words_.data(), words_.size());
   }
 
   /// True iff the subset is non-empty.
@@ -202,10 +260,8 @@ class Bitset {
   /// |this ∩ o| without materializing the intersection.
   size_t IntersectionCount(const Bitset& o) const {
     assert(nbits_ == o.nbits_);
-    size_t c = 0;
-    for (size_t i = 0; i < words_.size(); ++i)
-      c += static_cast<size_t>(std::popcount(words_[i] & o.words_[i]));
-    return c;
+    return popcount::Active().and_count(words_.data(), o.words_.data(),
+                                        words_.size());
   }
 
   /// Capped |this ∩ o|: streams the word-wise AND in 4-word unrolled
@@ -218,23 +274,8 @@ class Bitset {
   /// the exact count.
   size_t IntersectionCountCapped(const Bitset& o, size_t cap) const {
     assert(nbits_ == o.nbits_);
-    if (cap == 0) return 0;
-    const uint64_t* a = words_.data();
-    const uint64_t* b = o.words_.data();
-    const size_t nw = words_.size();
-    size_t c = 0;
-    size_t i = 0;
-    for (; i + 4 <= nw; i += 4) {
-      c += static_cast<size_t>(std::popcount(a[i] & b[i])) +
-           static_cast<size_t>(std::popcount(a[i + 1] & b[i + 1])) +
-           static_cast<size_t>(std::popcount(a[i + 2] & b[i + 2])) +
-           static_cast<size_t>(std::popcount(a[i + 3] & b[i + 3]));
-      if (c >= cap) return c;
-    }
-    for (; i < nw; ++i) {
-      c += static_cast<size_t>(std::popcount(a[i] & b[i]));
-    }
-    return c;
+    return popcount::Active().and_count_capped(
+        words_.data(), o.words_.data(), words_.size(), cap);
   }
 
   /// True iff |this ∩ o| >= threshold, early-exiting once the running
@@ -245,15 +286,11 @@ class Bitset {
     return IntersectionCountCapped(o, threshold) >= threshold;
   }
 
-  /// True iff Count() >= threshold, early-exiting per word.
+  /// True iff Count() >= threshold, early-exiting at the 4-word block
+  /// where the running count reaches it.
   bool CountAtLeast(size_t threshold) const {
-    if (threshold == 0) return true;
-    size_t c = 0;
-    for (uint64_t w : words_) {
-      c += static_cast<size_t>(std::popcount(w));
-      if (c >= threshold) return true;
-    }
-    return false;
+    return popcount::Active().count_capped(words_.data(), words_.size(),
+                                           threshold) >= threshold;
   }
 
   /// Index of the smallest element, or npos if empty.

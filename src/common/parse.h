@@ -68,12 +68,14 @@ inline Status ForEachDataLine(
 inline Status ParseUnsignedToken(std::string_view token, uint64_t max_value,
                                  const std::string& origin, size_t line_no,
                                  uint64_t* out) {
-  const std::string where = origin + ":" + std::to_string(line_no) + ": ";
+  // Built only on the failure paths: this runs once per token of every
+  // data file, and success is the common case.
+  auto where = [&] { return origin + ":" + std::to_string(line_no) + ": "; };
   if (token.empty()) {
-    return Status::InvalidArgument(where + "empty numeric token");
+    return Status::InvalidArgument(where() + "empty numeric token");
   }
   if (token.front() == '-' || token.front() == '+') {
-    return Status::InvalidArgument(where + "signed value '" +
+    return Status::InvalidArgument(where() + "signed value '" +
                                    std::string(token) +
                                    "' (ids must be plain non-negative)");
   }
@@ -81,15 +83,15 @@ inline Status ParseUnsignedToken(std::string_view token, uint64_t max_value,
   auto [ptr, ec] =
       std::from_chars(token.data(), token.data() + token.size(), value);
   if (ec == std::errc::result_out_of_range) {
-    return Status::OutOfRange(where + "value '" + std::string(token) +
+    return Status::OutOfRange(where() + "value '" + std::string(token) +
                               "' overflows uint64");
   }
   if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return Status::InvalidArgument(where + "non-numeric token '" +
+    return Status::InvalidArgument(where() + "non-numeric token '" +
                                    std::string(token) + "'");
   }
   if (value > max_value) {
-    return Status::OutOfRange(where + "value " + std::to_string(value) +
+    return Status::OutOfRange(where() + "value " + std::to_string(value) +
                               " exceeds the maximum of " +
                               std::to_string(max_value));
   }

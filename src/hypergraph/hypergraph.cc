@@ -5,6 +5,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "common/audit_stats.h"
 #include "common/parse.h"
 
 namespace hgm {
@@ -249,6 +250,42 @@ void AntichainMaximize(std::vector<Bitset>* sets) {
     if (!dominated) kept.push_back(s);
   }
   v = std::move(kept);
+}
+
+void DownwardClosedMaximize(std::vector<Bitset>* sets) {
+  auto& v = *sets;
+  std::vector<Bitset> audit_expected;
+  if (audit::kEnabled) {
+    audit_expected = v;
+    AntichainMaximize(&audit_expected);
+  }
+  // In a downward-closed family a member is non-maximal iff one of its
+  // one-element extensions is a member, i.e. iff it is some member's
+  // immediate subset.
+  std::unordered_set<Bitset, BitsetHash> hit;
+  for (const Bitset& x : v) {
+    x.ForEach([&](size_t i) { hit.insert(x.WithoutBit(i)); });
+  }
+  std::vector<Bitset> kept;
+  for (Bitset& x : v) {
+    // Inserting the kept member makes any later duplicate of it a hit.
+    if (hit.insert(x).second) kept.push_back(std::move(x));
+  }
+  v = std::move(kept);
+  if (audit::kEnabled) {
+    audit::ChargeChecks(audit::Contract::kClosure, 1);
+    std::vector<Bitset> got = v;
+    std::sort(got.begin(), got.end());
+    std::sort(audit_expected.begin(), audit_expected.end());
+    if (got != audit_expected) {
+      audit::ReportViolation(
+          audit::Contract::kClosure,
+          "DownwardClosedMaximize: " + std::to_string(got.size()) +
+              " maximal sets where AntichainMaximize finds " +
+              std::to_string(audit_expected.size()) +
+              " (input family not downward closed)");
+    }
+  }
 }
 
 }  // namespace hgm

@@ -145,4 +145,14 @@ void AntichainMinimize(std::vector<Bitset>* sets);
 /// in place; the result is an antichain of the maximal elements.
 void AntichainMaximize(std::vector<Bitset>* sets);
 
+/// Bd+ of a downward-closed family in one pass: keeps the members of
+/// \p sets that are no other member's immediate subset (x minus one
+/// element), drops duplicates, and preserves input order otherwise.
+/// Hashes Σ|x| immediate subsets instead of comparing all pairs, and
+/// returns the same family as AntichainMaximize when \p sets is downward
+/// closed (every subset of a member is a member).  On a family that is
+/// not, it may keep non-maximal sets; -DHGMINE_AUDIT=ON builds cross-check
+/// every call against AntichainMaximize.
+void DownwardClosedMaximize(std::vector<Bitset>* sets);
+
 }  // namespace hgm

@@ -231,15 +231,18 @@ AprioriResult RunAprioriLevels(TransactionDatabase* db,
     std::vector<Bitset> covers;
     switch (options.counting) {
       case SupportCountingMode::kTidsets:
-        // Parallel across candidates: each AND-and-counts its two join
-        // parents' covers independently into its own slot.
+        // Parallel across candidates: each counts the AND of its two join
+        // parents' covers into its own slot without materializing it, and
+        // builds the cover only when the candidate is frequent (the
+        // infrequent ones are discarded, so their covers never are).
         covers.assign(candidates.size(), Bitset());
         pool->ParallelFor(
             candidates.size(), [&](size_t begin, size_t end, size_t) {
               for (size_t c = begin; c < end; ++c) {
-                covers[c] = level[candidates[c].parent_i].cover &
-                            level[candidates[c].parent_j].cover;
-                supports[c] = covers[c].Count();
+                const Bitset& a = level[candidates[c].parent_i].cover;
+                const Bitset& b = level[candidates[c].parent_j].cover;
+                supports[c] = a.IntersectionCount(b);
+                if (supports[c] >= min_support) covers[c] = a & b;
               }
             });
         break;

@@ -1,7 +1,6 @@
 #include "mining/partition.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -440,14 +439,16 @@ PartitionResult RunPartition(ShardedTransactionDatabase* db,
     }
   }
   const bool reuse_enabled = num_shards <= kMaxReuseShards;
+  // Exactly one bit of the mask set (x & (x - 1) clears the lowest one).
+  const bool one_shard =
+      needed_mask != 0 && (needed_mask & (needed_mask - 1)) == 0;
   // One non-empty shard (K = 1, or K > rows with a lone populated shard):
   // its local threshold equals the global one, so the union IS the theory
   // with exact supports already in hand — adopt it wholesale instead of
   // walking the gate.  Fresh runs only; a mid-phase-2 resume keeps the
   // walk so its accounting continues bit-identically.
-  if (reuse_enabled && std::popcount(needed_mask) == 1 &&
-      state.next_level == 0 && state.confirmed.empty() &&
-      state.rejected.empty()) {
+  if (reuse_enabled && one_shard && state.next_level == 0 &&
+      state.confirmed.empty() && state.rejected.empty()) {
     if (StopReason r = tracker.CheckBoundary(); r != StopReason::kCompleted) {
       return FinishPartial(&state, r);
     }
@@ -594,14 +595,16 @@ PartitionResult RunPartition(ShardedTransactionDatabase* db,
   SortFrequent(&result.frequent);
 
   // Maximal frequent sets; empty when even ∅ failed (matching Apriori's
-  // early-out shape, where the theory is empty and Bd- = {∅}).
+  // early-out shape, where the theory is empty and Bd- = {∅}).  The
+  // confirmed theory is downward closed, so one pass over immediate
+  // subsets finds them.
   if (!result.frequent.empty()) {
     std::vector<Bitset> maximal;
     maximal.reserve(result.frequent.size());
     for (const FrequentItemset& f : result.frequent) {
       maximal.push_back(f.items);
     }
-    AntichainMaximize(&maximal);
+    DownwardClosedMaximize(&maximal);
     CanonicalSort(&maximal);
     result.maximal = std::move(maximal);
   }

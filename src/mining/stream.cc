@@ -334,14 +334,15 @@ StreamWindowResult StreamMiner::RunRepair(size_t start_level,
 }
 
 StreamWindowResult StreamMiner::FinishRepair(StreamWindowResult result) {
-  // Bd+ from Th; same family and order as the batch miner's per-level
-  // sweep followed by AntichainMaximize + CanonicalSort.
+  // Bd+ from Th, which is downward closed, in one pass over immediate
+  // subsets; same family and order as the batch miner's per-level sweep
+  // followed by AntichainMaximize + CanonicalSort.
   std::vector<Bitset> maximal;
   maximal.reserve(result.frequent.size());
   for (const FrequentItemset& f : result.frequent) {
     maximal.push_back(f.items);
   }
-  AntichainMaximize(&maximal);
+  DownwardClosedMaximize(&maximal);
   CanonicalSort(&maximal);
   result.maximal = std::move(maximal);
   CanonicalSort(&result.negative_border);

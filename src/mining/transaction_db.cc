@@ -1,6 +1,5 @@
 #include "mining/transaction_db.h"
 
-#include <bit>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -64,44 +63,18 @@ bool TransactionDatabase::SupportAtLeast(const Bitset& itemset,
 
 namespace {
 
-/// Capped popcount of the word-wise AND across an item-tidset chain:
-/// 4-word blocks with the early-exit compare hoisted to the block
-/// boundary, like Bitset::IntersectionCountCapped but over k chained
-/// tidsets.  Returns the exact count when below \p cap, else the (>= cap)
-/// running count at the block where it crossed.
+/// Capped support of \p itemset (non-empty) from its item tidsets: the
+/// chained word-wise AND popcount kernel, exact when below \p cap, else a
+/// (>= cap) lower bound.
 size_t ChainCountCapped(const std::vector<Bitset>& vertical,
-                        const std::vector<size_t>& items, size_t cap) {
-  const std::vector<uint64_t>& first = vertical[items[0]].words();
-  const size_t nw = first.size();
-  size_t count = 0;
-  size_t wi = 0;
-  for (; wi + 4 <= nw; wi += 4) {
-    uint64_t w0 = first[wi];
-    uint64_t w1 = first[wi + 1];
-    uint64_t w2 = first[wi + 2];
-    uint64_t w3 = first[wi + 3];
-    for (size_t j = 1; j < items.size(); ++j) {
-      const std::vector<uint64_t>& tid = vertical[items[j]].words();
-      w0 &= tid[wi];
-      w1 &= tid[wi + 1];
-      w2 &= tid[wi + 2];
-      w3 &= tid[wi + 3];
-      if ((w0 | w1 | w2 | w3) == 0) break;
-    }
-    count += static_cast<size_t>(std::popcount(w0)) +
-             static_cast<size_t>(std::popcount(w1)) +
-             static_cast<size_t>(std::popcount(w2)) +
-             static_cast<size_t>(std::popcount(w3));
-    if (count >= cap) return count;
-  }
-  for (; wi < nw; ++wi) {
-    uint64_t w = first[wi];
-    for (size_t j = 1; w != 0 && j < items.size(); ++j) {
-      w &= vertical[items[j]].words()[wi];
-    }
-    count += static_cast<size_t>(std::popcount(w));
-  }
-  return count;
+                        const Bitset& itemset, size_t cap) {
+  std::vector<const uint64_t*> tids;
+  tids.reserve(itemset.Count());
+  itemset.ForEach(
+      [&](size_t item) { tids.push_back(vertical[item].words().data()); });
+  return popcount::Active().chain_and_count_capped(
+      tids.data(), tids.size(), vertical[itemset.FindFirst()].words().size(),
+      cap);
 }
 
 }  // namespace
@@ -115,10 +88,8 @@ bool TransactionDatabase::SupportAtLeastPrebuilt(const Bitset& itemset,
          "after the last AddTransaction and before concurrent tidset reads";
   if (threshold == 0) return true;
   if (threshold > rows_.size()) return false;
-  std::vector<size_t> items = itemset.Indices();
-  if (items.empty()) return true;  // support(∅) = |r| >= threshold here
-  if (items.size() == 1) return vertical_[items[0]].CountAtLeast(threshold);
-  return ChainCountCapped(vertical_, items, threshold) >= threshold;
+  if (itemset.None()) return true;  // support(∅) = |r| >= threshold here
+  return ChainCountCapped(vertical_, itemset, threshold) >= threshold;
 }
 
 size_t TransactionDatabase::SupportVerticalPrebuilt(const Bitset& itemset,
@@ -127,9 +98,8 @@ size_t TransactionDatabase::SupportVerticalPrebuilt(const Bitset& itemset,
       << "vertical index stale or unbuilt; call EnsureVerticalIndex() "
          "after the last AddTransaction and before concurrent tidset reads";
   if (cap == 0) return 0;
-  std::vector<size_t> items = itemset.Indices();
-  if (items.empty()) return rows_.size();
-  return ChainCountCapped(vertical_, items, cap);
+  if (itemset.None()) return rows_.size();
+  return ChainCountCapped(vertical_, itemset, cap);
 }
 
 std::vector<size_t> TransactionDatabase::CountSupportsHorizontal(

@@ -335,8 +335,10 @@ void Server::WorkerLoop(size_t worker_index) {
             .count());
     HGM_OBS_OBSERVE("serve.request_us", us);
 
-    item.done(response);
+    // Refund the admission slot before replying: a closed-loop client
+    // resubmits on receipt, and must find its own slot free again.
     admission_.OnFinish(item.budget_ms);
+    item.done(response);
     {
       MutexLock lock(mu_);
       inflight_.erase(ticket);

@@ -170,6 +170,24 @@ TEST_F(AuditTest, BrokenEngineEmissionIsCaught) {
   EXPECT_EQ(audit::GlobalAuditStats().violations, 1u);
 }
 
+// DownwardClosedMaximize assumes its input is downward closed.  Audit
+// builds cross-check it against AntichainMaximize, so a family missing
+// the subsets of {0,1,2} (the linear pass then keeps {0}) is reported.
+TEST_F(AuditTest, DownwardClosedMaximizeTripsOnNonClosedFamily) {
+  std::vector<Bitset> family{Bitset(3, {0}), Bitset(3, {0, 1, 2})};
+  DownwardClosedMaximize(&family);
+  EXPECT_EQ(family.size(), 2u);
+  if (audit::kEnabled) {
+    ASSERT_EQ(captured_.size(), 1u);
+    EXPECT_EQ(captured_[0].first,
+              audit::ContractName(audit::Contract::kClosure));
+    EXPECT_NE(captured_[0].second.find("DownwardClosedMaximize"),
+              std::string::npos);
+  } else {
+    EXPECT_TRUE(captured_.empty());
+  }
+}
+
 // End-to-end under -DHGMINE_AUDIT=ON: run every engine and the two core
 // algorithms on real instances and assert the hot paths actually charged
 // contract checks and witnessed zero violations.  In plain builds the

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <unordered_set>
+#include <vector>
 
 #include "common/random.h"
 
@@ -269,6 +272,152 @@ TEST(BitsetTest, IntersectionCountCappedBoundaries) {
       const size_t capped = x.IntersectionCountCapped(y, cap);
       EXPECT_LE(capped, exact);
       EXPECT_GE(capped, std::min(cap, exact));
+    }
+  }
+}
+
+// ---- popcount kernels ---------------------------------------------------
+
+// Both tables of the dispatched kernels against a per-word reference and
+// against each other.  The portable table is called explicitly so the
+// fallback stays tested on hosts that select the hardware one.
+
+/// The tables this host can run: always the portable one, plus the
+/// hardware one when the CPU supports popcnt.
+std::vector<const popcount::Kernels*> RunnableKernels() {
+  std::vector<const popcount::Kernels*> out = {&popcount::Portable()};
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("popcnt")) {
+    EXPECT_NE(popcount::Hardware(), nullptr);
+    if (popcount::Hardware() != nullptr) out.push_back(popcount::Hardware());
+  }
+#endif
+  return out;
+}
+
+TEST(PopcountKernelTest, ActiveIsHardwareExactlyWhenTheCpuHasPopcnt) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("popcnt")) {
+    ASSERT_NE(popcount::Hardware(), nullptr);
+    EXPECT_EQ(&popcount::Active(), popcount::Hardware());
+  } else {
+    EXPECT_EQ(&popcount::Active(), &popcount::Portable());
+  }
+#else
+  EXPECT_EQ(popcount::Hardware(), nullptr);
+  EXPECT_EQ(&popcount::Active(), &popcount::Portable());
+#endif
+}
+
+/// Random words at a mix of densities, with some all-zero and all-one
+/// words so the chain kernel's zero-block exit and full words both run.
+std::vector<uint64_t> RandomWords(size_t nw, Rng* rng) {
+  std::vector<uint64_t> w(nw);
+  for (uint64_t& x : w) {
+    switch ((*rng)() % 6) {
+      case 0: x = 0; break;
+      case 1: x = ~uint64_t{0}; break;
+      case 2: x = (*rng)() & (*rng)(); break;
+      default: x = (*rng)() | (*rng)(); break;
+    }
+  }
+  return w;
+}
+
+/// Caps to probe for a count whose running total after each 4-word
+/// block is \p block_sums: 0, 1, every block edge and its neighbours,
+/// the total, and above it.
+std::vector<size_t> ProbeCaps(const std::vector<size_t>& block_sums,
+                              size_t total) {
+  std::vector<size_t> caps = {0, 1, total, total + 1, Bitset::npos};
+  if (total > 0) caps.push_back(total - 1);
+  for (size_t s : block_sums) {
+    caps.push_back(s);
+    caps.push_back(s + 1);
+    if (s > 0) caps.push_back(s - 1);
+  }
+  return caps;
+}
+
+/// Checks one capped result against the reference: exact below the cap,
+/// else at least the cap and at most the exact count.
+void ExpectCappedContract(size_t got, size_t exact, size_t cap) {
+  if (exact < cap) {
+    EXPECT_EQ(got, exact) << "cap " << cap;
+  } else {
+    EXPECT_GE(got, cap) << "exact " << exact;
+    EXPECT_LE(got, exact) << "cap " << cap;
+  }
+}
+
+TEST(PopcountKernelTest, TablesAgreeWithReferenceAndEachOther) {
+  const std::vector<const popcount::Kernels*> tables = RunnableKernels();
+  std::vector<size_t> word_counts = {157, 3125};
+  for (size_t nw = 0; nw <= 9; ++nw) word_counts.push_back(nw);
+  Rng rng(20261018);
+  for (size_t nw : word_counts) {
+    const int reps = nw > 200 ? 1 : 3;
+    for (int rep = 0; rep < reps; ++rep) {
+      // Chains of up to 4 rows; row 0 and 1 double as a and b.
+      std::vector<std::vector<uint64_t>> rows;
+      for (int r = 0; r < 4; ++r) rows.push_back(RandomWords(nw, &rng));
+      const uint64_t* a = rows[0].data();
+      const uint64_t* b = rows[1].data();
+
+      std::vector<size_t> count_blocks, and_blocks;
+      size_t count = 0, and_count = 0;
+      for (size_t i = 0; i < nw; ++i) {
+        count += static_cast<size_t>(std::popcount(a[i]));
+        and_count += static_cast<size_t>(std::popcount(a[i] & b[i]));
+        if ((i + 1) % 4 == 0) {
+          count_blocks.push_back(count);
+          and_blocks.push_back(and_count);
+        }
+      }
+      SCOPED_TRACE("nw=" + std::to_string(nw));
+      for (size_t t = 0; t < tables.size(); ++t) {
+        SCOPED_TRACE("table " + std::to_string(t));
+        EXPECT_EQ(tables[t]->count(a, nw), count);
+        EXPECT_EQ(tables[t]->and_count(a, b, nw), and_count);
+      }
+      for (size_t cap : ProbeCaps(count_blocks, count)) {
+        const size_t first = tables[0]->count_capped(a, nw, cap);
+        ExpectCappedContract(first, count, cap);
+        for (const popcount::Kernels* k : tables) {
+          EXPECT_EQ(k->count_capped(a, nw, cap), first);
+        }
+      }
+      for (size_t cap : ProbeCaps(and_blocks, and_count)) {
+        const size_t first = tables[0]->and_count_capped(a, b, nw, cap);
+        ExpectCappedContract(first, and_count, cap);
+        for (const popcount::Kernels* k : tables) {
+          EXPECT_EQ(k->and_count_capped(a, b, nw, cap), first);
+        }
+      }
+      for (size_t len = 1; len <= rows.size(); ++len) {
+        std::vector<const uint64_t*> chain;
+        for (size_t r = 0; r < len; ++r) chain.push_back(rows[r].data());
+        std::vector<size_t> blocks;
+        size_t exact = 0;
+        for (size_t i = 0; i < nw; ++i) {
+          uint64_t w = ~uint64_t{0};
+          for (const uint64_t* r : chain) w &= r[i];
+          exact += static_cast<size_t>(std::popcount(w));
+          if ((i + 1) % 4 == 0) blocks.push_back(exact);
+        }
+        for (size_t cap : ProbeCaps(blocks, exact)) {
+          const size_t first =
+              tables[0]->chain_and_count_capped(chain.data(), len, nw, cap);
+          ExpectCappedContract(first, exact, cap);
+          for (const popcount::Kernels* k : tables) {
+            EXPECT_EQ(k->chain_and_count_capped(chain.data(), len, nw, cap),
+                      first)
+                << "chain of " << len;
+          }
+        }
+      }
     }
   }
 }

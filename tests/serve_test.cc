@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -484,6 +488,59 @@ TEST(ServeServerTest, DeadlineTurnsLongRequestsIntoCertifiedPartials) {
       "{\"op\":\"sleep\",\"id\":1,\"ms\":5000,\"deadline_ms\":50}");
   EXPECT_NE(r.find("\"degraded\":true"), std::string::npos);
   EXPECT_NE(r.find("\"stop_reason\":\"deadline\""), std::string::npos);
+  server.Drain();
+}
+
+TEST(ServeServerTest, ClosedLoopClientsWithinMaxQueueAreNeverShed) {
+  // max_queue closed-loop clients, each resubmitting from inside its
+  // completion callback: at most max_queue requests are ever outstanding,
+  // so none may be shed queue_full.  The worker must refund a request's
+  // admission slot before handing the client its reply.
+  constexpr size_t kClients = 4;
+  constexpr int kRounds = 150;
+  ServerConfig config;
+  config.workers = 2;
+  config.admission.workers = 2;
+  config.admission.max_queue = kClients;
+  Server server(config);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_NE(server
+                .Handle("{\"op\":\"open\",\"id\":1,\"session\":\"s\","
+                        "\"items\":4,\"rows\":" +
+                        Fig1RowsJson() + "}")
+                .find("\"ok\":true"),
+            std::string::npos);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t finished = 0;
+  std::vector<std::string> failures;
+  std::function<void(size_t, int)> send = [&](size_t client, int round) {
+    const std::string line =
+        "{\"op\":\"support\",\"id\":" +
+        std::to_string(client * 1000 + static_cast<size_t>(round)) +
+        ",\"session\":\"s\",\"itemset\":[0,1]}";
+    server.Submit(line, [&, client, round](std::string response) {
+      const bool ok = response.find("\"ok\":true") != std::string::npos;
+      if (ok && round + 1 < kRounds) {
+        send(client, round + 1);
+        return;
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (!ok) failures.push_back(response);
+      ++finished;
+      cv.notify_all();  // under the lock: the waiter owns cv's lifetime
+    });
+  };
+  for (size_t c = 0; c < kClients; ++c) send(c, 0);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(120),
+                            [&] { return finished == kClients; }));
+    EXPECT_TRUE(failures.empty())
+        << failures.size() << " closed-loop requests failed, first: "
+        << failures.front();
+  }
   server.Drain();
 }
 

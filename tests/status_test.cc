@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
+
+#include "common/parse.h"
 
 namespace hgm {
 namespace {
@@ -92,6 +95,38 @@ TEST(ResultTest, ErrorPropagationPattern) {
   Status s = caller();
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(s.message(), "inner failure");
+}
+
+// ParseUnsignedToken's messages, byte for byte: one per failure kind.
+TEST(ParseUnsignedTokenTest, PinsEveryFailureMessage) {
+  struct Case {
+    const char* token;
+    StatusCode code;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"", StatusCode::kInvalidArgument, "rows.txt:7: empty numeric token"},
+      {"-3", StatusCode::kInvalidArgument,
+       "rows.txt:7: signed value '-3' (ids must be plain non-negative)"},
+      {"+3", StatusCode::kInvalidArgument,
+       "rows.txt:7: signed value '+3' (ids must be plain non-negative)"},
+      {"12x", StatusCode::kInvalidArgument,
+       "rows.txt:7: non-numeric token '12x'"},
+      {"99999999999999999999", StatusCode::kOutOfRange,
+       "rows.txt:7: value '99999999999999999999' overflows uint64"},
+      {"1001", StatusCode::kOutOfRange,
+       "rows.txt:7: value 1001 exceeds the maximum of 1000"},
+  };
+  for (const Case& c : cases) {
+    uint64_t out = 42;
+    Status s = ParseUnsignedToken(c.token, 1000, "rows.txt", 7, &out);
+    EXPECT_EQ(s.code(), c.code) << c.token;
+    EXPECT_EQ(s.message(), c.message);
+    EXPECT_EQ(out, 42u) << "failure must not write the output";
+  }
+  uint64_t out = 0;
+  ASSERT_TRUE(ParseUnsignedToken("1000", 1000, "rows.txt", 7, &out).ok());
+  EXPECT_EQ(out, 1000u);
 }
 
 }  // namespace

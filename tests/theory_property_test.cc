@@ -4,13 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "core/dualize_advance.h"
 #include "core/levelwise.h"
 #include "core/oracle.h"
 #include "core/theory.h"
 #include "core/verification.h"
+#include "hypergraph/hypergraph.h"
 #include "hypergraph/transversal_berge.h"
+#include "mining/apriori.h"
 #include "mining/frequency_oracle.h"
 #include "mining/generators.h"
 
@@ -161,6 +167,76 @@ TEST(MonotonicityCheckerTest, DetectsReverseDirection) {
   EXPECT_FALSE(checked.IsInteresting(Bitset(4, {0})));
   EXPECT_TRUE(checked.violation_found());
   EXPECT_EQ(checked.violation_interesting(), Bitset(4, {0, 1}));
+}
+
+// ---- Bd+ of a downward-closed family --------------------------------------
+
+/// DownwardClosedMaximize and AntichainMaximize on the same input must
+/// keep the same family (compared as sorted vectors, not just as sets).
+void ExpectSameMaximal(const std::vector<Bitset>& family) {
+  std::vector<Bitset> linear = family;
+  DownwardClosedMaximize(&linear);
+  std::vector<Bitset> quadratic = family;
+  AntichainMaximize(&quadratic);
+  std::sort(linear.begin(), linear.end());
+  std::sort(quadratic.begin(), quadratic.end());
+  EXPECT_EQ(linear, quadratic) << "family of " << family.size();
+}
+
+TEST(DownwardClosedMaximizeTest, EmptyFamilyAndEmptySet) {
+  ExpectSameMaximal({});
+  std::vector<Bitset> only_empty = {Bitset(5)};
+  ExpectSameMaximal(only_empty);
+  DownwardClosedMaximize(&only_empty);
+  EXPECT_EQ(only_empty, std::vector<Bitset>{Bitset(5)});
+}
+
+TEST(DownwardClosedMaximizeTest, FullLatticeKeepsOnlyTheUniverse) {
+  for (size_t n = 0; n <= 12; ++n) {
+    std::vector<Bitset> lattice;
+    for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+      Bitset x(n);
+      for (size_t i = 0; i < n; ++i) {
+        if ((mask >> i) & 1) x.Set(i);
+      }
+      lattice.push_back(std::move(x));
+    }
+    ExpectSameMaximal(lattice);
+    DownwardClosedMaximize(&lattice);
+    EXPECT_EQ(lattice, std::vector<Bitset>{Bitset::Full(n)}) << n;
+  }
+}
+
+TEST(DownwardClosedMaximizeTest, DuplicatesCollapseInInputOrder) {
+  // Th = ↓{{0,1},{2}} with repeats; Bd+ = {{0,1},{2}} in input order.
+  std::vector<Bitset> family = {Bitset(3, {2}),    Bitset(3),
+                                Bitset(3, {0, 1}), Bitset(3, {0}),
+                                Bitset(3, {2}),    Bitset(3, {1}),
+                                Bitset(3, {0, 1})};
+  ExpectSameMaximal(family);
+  DownwardClosedMaximize(&family);
+  EXPECT_EQ(family,
+            (std::vector<Bitset>{Bitset(3, {2}), Bitset(3, {0, 1})}));
+}
+
+TEST(DownwardClosedMaximizeTest, AgreesWithAntichainMaximizeOnMinedTheories) {
+  Rng rng(1997);
+  for (int iter = 0; iter < 24; ++iter) {
+    const size_t n = 4 + rng.UniformInt(0, 8);
+    const size_t size = 1 + rng.UniformInt(0, n - 2);
+    auto patterns = RandomPatterns(n, 1 + rng.UniformInt(0, 4), size, &rng);
+    TransactionDatabase db = PlantedDatabase(
+        n, patterns, 2 + rng.UniformInt(0, 2), rng.UniformInt(0, 6), 2, &rng);
+    const size_t minsup = 1 + rng.UniformInt(0, 3);
+    AprioriResult brute = MineFrequentSetsBrute(&db, minsup);
+    std::vector<Bitset> theory;
+    for (const FrequentItemset& f : brute.frequent) theory.push_back(f.items);
+    SCOPED_TRACE("iter " + std::to_string(iter));
+    ExpectSameMaximal(theory);
+    // Shuffled input order changes nothing but the output order.
+    rng.Shuffle(theory);
+    ExpectSameMaximal(theory);
+  }
 }
 
 }  // namespace
