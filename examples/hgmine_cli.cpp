@@ -7,7 +7,7 @@
 //                   [--report=<path|->] [--flight=<path>]
 //                   [--deadline-ms=N] [--max-queries=N]
 //                   [--checkpoint=<path>] [--resume=<path>]
-//                   [--chaos-seed=N] [--exact-border]
+//                   [--chaos-seed=N]
 //   hgmine_cli follow <basket-file|-> <min-support> --window=N [--slide=M]
 //                   [--items=U] [--cross-check] [--metrics=<path|->]
 //                   [--trace=<path>] [--report=<path|->] [--flight=<path>]
@@ -59,10 +59,7 @@
 //                  bit-identical to one uninterrupted run;
 // --chaos-seed=N   (with --shards) injects seeded transient shard faults
 //                  into phase 1 to exercise the retry/failover path; the
-//                  mined output must be identical to a fault-free run;
-// --exact-border   (with --shards) computes Bd-(Th) through the Theorem 7
-//                  transversal construction instead of the default
-//                  apriori-gen derivation — same family, independent path.
+//                  mined output must be identical to a fault-free run.
 //
 // Exit codes: 0 complete, 1 I/O or internal error, 2 usage error,
 // 3 budget tripped (partial result; checkpoint written if requested).
@@ -130,7 +127,7 @@ int Usage() {
          "                  [--report=<path|->] [--flight=<path>]\n"
          "                  [--deadline-ms=N] [--max-queries=N]\n"
          "                  [--checkpoint=<path>] [--resume=<path>]\n"
-         "                  [--chaos-seed=N] [--exact-border]\n"
+         "                  [--chaos-seed=N]\n"
          "       hgmine_cli follow <basket-file|-> <min-support> --window=N\n"
          "                  [--slide=M] [--items=U] [--cross-check]\n"
          "                  [--metrics=<path|->] [--trace=<path>]\n"
@@ -543,7 +540,6 @@ int main(int argc, char** argv) {
   std::string resume_path;      // checkpoint to continue from
   bool have_chaos = false;
   uint64_t chaos_seed = 0;
-  bool exact_border = false;  // partition Bd- via Theorem-7 transversals
   std::string report_path;    // run-report envelope destination; "-" = stdout
   std::string flight_path;    // crash-forensics dump destination
   MaxMinerAlgorithm algo = MaxMinerAlgorithm::kDualizeAdvance;
@@ -580,8 +576,6 @@ int main(int argc, char** argv) {
     } else if (args[i].rfind("--resume=", 0) == 0) {
       resume_path = args[i].substr(9);
       if (resume_path.empty()) return Usage();
-    } else if (args[i] == "--exact-border") {
-      exact_border = true;
     } else if (args[i].rfind("--chaos-seed=", 0) == 0) {
       if (!ParseFlagUint("--chaos-seed", args[i].substr(13),
                          std::numeric_limits<uint64_t>::max() - 1,
@@ -633,11 +627,6 @@ int main(int argc, char** argv) {
                  "injected into phase-1 shard mining)\n";
     return 2;
   }
-  if (exact_border && num_shards == 0) {
-    std::cerr << "error: --exact-border requires --shards=K (the "
-                 "single-database path always uses Theorem 7)\n";
-    return 2;
-  }
 
   // A run report needs the metrics snapshot and the tracer's phase
   // totals, so --report implies both collectors.
@@ -672,7 +661,6 @@ int main(int argc, char** argv) {
     report.AddConfig("maximal", want_maximal);
     report.AddConfig("closed", want_closed);
     report.AddConfig("rules", want_rules);
-    report.AddConfig("exact_border", exact_border);
     report.AddConfig("deadline_ms", deadline_ms);
     report.AddConfig("max_queries", max_queries);
     // Fingerprint the transaction contents so two envelopes are known to
@@ -803,7 +791,6 @@ int main(int argc, char** argv) {
         ShardedTransactionDatabase::Split(db, num_shards);
     PartitionOptions popts;
     popts.budget = budget;
-    popts.border_via_transversals = exact_border;
     if (have_chaos) {
       // Seeded transient faults in phase 1; the retry rounds must heal
       // them and reproduce the fault-free output bit for bit.

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/bitset.h"
@@ -21,14 +22,22 @@ namespace hgm {
 
 using ItemVec = std::vector<uint32_t>;
 
+/// One candidate's two join parents: indices into the level it was
+/// joined from.
+using JoinParents = std::pair<size_t, size_t>;
+
 /// Joins lexicographically sorted k-sets sharing a (k-1)-prefix and prunes
-/// candidates with a non-interesting k-subset.  \p level must be sorted and
-/// contain sets of equal size k >= 1; \p level_set must contain exactly the
-/// Bitset forms of \p level.  Returns sorted (k+1)-candidates.
+/// candidates with a non-interesting k-subset.  \p level must be sorted,
+/// duplicate-free and contain sets of equal size k >= 1; \p level_set must
+/// contain exactly the Bitset forms of \p level.  Returns the sorted
+/// (k+1)-candidates; when \p parents is non-null it receives, in step,
+/// the indices into \p level of each candidate's two join parents.
 inline std::vector<ItemVec> AprioriGen(
     const std::vector<ItemVec>& level,
-    const std::unordered_set<Bitset, BitsetHash>& level_set, size_t n) {
+    const std::unordered_set<Bitset, BitsetHash>& level_set, size_t n,
+    std::vector<JoinParents>* parents = nullptr) {
   std::vector<ItemVec> candidates;
+  if (parents != nullptr) parents->clear();
   if (level.empty()) return candidates;
   const size_t k = level[0].size();
   for (size_t i = 0; i < level.size(); ++i) {
@@ -37,9 +46,10 @@ inline std::vector<ItemVec> AprioriGen(
                       level[j].begin())) {
         break;  // sorted input keeps shared-prefix blocks contiguous
       }
+      // Sorted, duplicate-free input: level[i].back() < level[j].back(),
+      // so the candidate is sorted and the candidates come out in order.
       ItemVec cand = level[i];
       cand.push_back(level[j].back());
-      if (cand[k - 1] > cand[k]) std::swap(cand[k - 1], cand[k]);
       bool ok = true;
       for (size_t drop = 0; ok && drop + 2 <= cand.size(); ++drop) {
         ItemVec sub;
@@ -49,12 +59,12 @@ inline std::vector<ItemVec> AprioriGen(
         }
         ok = level_set.contains(Bitset::FromIndices(n, sub));
       }
-      if (ok) candidates.push_back(std::move(cand));
+      if (ok) {
+        candidates.push_back(std::move(cand));
+        if (parents != nullptr) parents->emplace_back(i, j);
+      }
     }
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
   return candidates;
 }
 

@@ -1,6 +1,7 @@
 #include "core/levelwise.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
 
 #include "common/apriori_gen.h"
@@ -36,18 +37,72 @@ void PublishLevelwiseGauges(const LevelwiseResult& result, size_t n) {
   HGM_OBS_GAUGE_SET("levelwise.last_width", n);
 }
 
-/// Mutable algorithm state at a level boundary — everything a checkpoint
-/// must capture for the resumed run to be bit-identical.
-struct LevelwiseState {
-  LevelwiseResult result;               // accumulating (unsorted) output
-  std::vector<ItemVec> level;           // interesting sets of size `next_level`
-  std::vector<Bitset> maximal_candidates;  // no interesting successor yet
-  size_t next_level = 0;                // loop index k to run next
-  bool record_theory = true;
-};
+/// Counters named per engine at run time, so not HGM_OBS_COUNT's
+/// per-site cached lookup.
+void CountMetric(const std::string& name, uint64_t delta) {
+  if (obs::MetricsOn()) {
+    obs::MetricsRegistry::Global().GetCounter(name).Add(delta);
+  }
+}
+
+/// Appends to \p maximal the sets of \p level with no superset among the
+/// next level's sets (\p next, \p next_sets in step), skipping those
+/// marked \p extended (join parents of an interesting candidate).
+/// Apriori-gen completeness puts every interesting (k+1)-set in \p next,
+/// so the test is exact.
+void SweepMaximal(const std::vector<ItemVec>& level,
+                  const std::vector<uint8_t>& extended,
+                  const std::vector<ItemVec>& next,
+                  const std::vector<Bitset>& next_sets,
+                  bool rebuild_supersets, size_t n,
+                  std::vector<Bitset>* maximal) {
+  for (size_t i = 0; i < level.size(); ++i) {
+    if (extended[i]) continue;
+    Bitset x = Bitset::FromIndices(n, level[i]);
+    bool covered = false;
+    for (size_t j = 0; j < next.size() && !covered; ++j) {
+      covered = rebuild_supersets
+                    ? x.IsSubsetOf(Bitset::FromIndices(n, next[j]))
+                    : x.IsSubsetOf(next_sets[j]);
+    }
+    if (!covered) maximal->push_back(std::move(x));
+  }
+}
+
+/// The frontier plus the sets already known maximal, reduced to an
+/// antichain in canonical order.
+std::vector<Bitset> MaximalOf(LevelState* state, size_t n) {
+  std::vector<Bitset> maximal = std::move(state->maximal_candidates);
+  for (const ItemVec& s : state->level) {
+    maximal.push_back(Bitset::FromIndices(n, s));
+  }
+  AntichainMaximize(&maximal);
+  CanonicalSort(&maximal);
+  return maximal;
+}
+
+/// The certified partial result for a budget trip at the boundary of
+/// level `state.next_level`: the frontier joins the accumulated maximal
+/// candidates to form the prefix's positive border.
+LevelState FinishPartial(LevelState&& state,
+                         const LevelDriverOptions& options,
+                         StopReason reason) {
+  // Freeze the checkpoint before any move empties the state's containers.
+  state.result.checkpoint = options.freeze(state);
+  state.result.stop_reason = reason;
+  state.result.positive_border = MaximalOf(&state, options.width);
+  CanonicalSort(&state.result.negative_border);
+  if (audit::kEnabled) {
+    // The prefix contracts: both borders are antichains (duality only
+    // holds for complete theories, so that cross-check is skipped).
+    audit::AuditAntichain(state.result.positive_border, "partial Bd+");
+    audit::AuditAntichain(state.result.negative_border, "partial Bd-");
+  }
+  return std::move(state);
+}
 
 /// Freezes \p state into a kind="levelwise" checkpoint.
-Checkpoint MakeLevelwiseCheckpoint(const LevelwiseState& state, size_t n) {
+Checkpoint MakeLevelwiseCheckpoint(const LevelState& state, size_t n) {
   Checkpoint cp;
   cp.kind = "levelwise";
   cp.width = n;
@@ -74,42 +129,46 @@ Checkpoint MakeLevelwiseCheckpoint(const LevelwiseState& state, size_t n) {
   return cp;
 }
 
-/// Builds the certified partial result for a budget trip at the boundary
-/// of level `state.next_level`: the frontier joins the accumulated
-/// maximal candidates to form the prefix's positive border.
-LevelwiseResult FinishPartial(LevelwiseState&& state, size_t n,
-                              StopReason reason) {
-  // Freeze the checkpoint before any move empties the state's containers.
-  Checkpoint cp = MakeLevelwiseCheckpoint(state, n);
-  LevelwiseResult result = std::move(state.result);
-  result.stop_reason = reason;
-  result.checkpoint = std::move(cp);
-  std::vector<Bitset> maximal = std::move(state.maximal_candidates);
-  for (const ItemVec& s : state.level) {
-    maximal.push_back(Bitset::FromIndices(n, s));
-  }
-  AntichainMaximize(&maximal);
-  CanonicalSort(&maximal);
-  result.positive_border = std::move(maximal);
-  CanonicalSort(&result.negative_border);
-  if (state.record_theory) CanonicalSort(&result.theory);
-  if (audit::kEnabled) {
-    // The prefix contracts: both borders are antichains (duality only
-    // holds for complete theories, so that cross-check is skipped).
-    audit::AuditAntichain(result.positive_border, "levelwise partial Bd+");
-    audit::AuditAntichain(result.negative_border, "levelwise partial Bd-");
-  }
+/// Runs the shared driver with the oracle as the level evaluator and
+/// finishes the levelwise result.
+LevelwiseResult RunOracleLevels(InterestingnessOracle* oracle,
+                                const LevelwiseOptions& options,
+                                LevelState&& state) {
+  const size_t n = oracle->num_items();
+  // Step 4 of Algorithm 9: the whole level C_l is one batch — the queries
+  // are mutually independent, so a parallel oracle may answer them
+  // concurrently, and a batch of size m charges exactly m queries.
+  LevelEvaluator evaluate = [oracle](const std::vector<Bitset>& candidates,
+                                     const std::vector<JoinParents>&) {
+    return LevelVerdicts{oracle->EvaluateBatch(candidates), {}};
+  };
+  LevelDriverOptions driver;
+  driver.width = n;
+  driver.max_level = options.max_level;
+  driver.budget = options.budget;
+  driver.engine = "levelwise";
+  driver.freeze = [n](const LevelState& s) {
+    return MakeLevelwiseCheckpoint(s, n);
+  };
+  LevelState done = RunLevels(evaluate, driver, std::move(state));
+  LevelwiseResult result = std::move(done.result);
+  if (done.record_theory) CanonicalSort(&result.theory);
   PublishLevelwiseGauges(result, n);
   return result;
 }
 
-/// The level loop plus the finishing passes, shared by fresh and resumed
-/// runs.  Consumes \p state.
-LevelwiseResult RunLevels(InterestingnessOracle* oracle,
-                          const LevelwiseOptions& options,
-                          LevelwiseState&& state) {
-  const size_t n = oracle->num_items();
+}  // namespace
+
+LevelState RunLevels(const LevelEvaluator& evaluate,
+                     const LevelDriverOptions& options, LevelState&& state) {
+  const size_t n = options.width;
+  const std::string engine = options.engine;
+  const std::string level_name = engine + ".level";
+  const std::string candidates_name = engine + ".candidates";
+  const std::string queries_name = engine + ".queries";
+  const std::string interesting_name = engine + ".interesting";
   BudgetTracker tracker(options.budget, state.result.queries);
+  LevelwiseResult& result = state.result;
 
   std::unordered_set<Bitset, BitsetHash> level_set;
   for (size_t k = state.next_level;
@@ -119,15 +178,16 @@ LevelwiseResult RunLevels(InterestingnessOracle* oracle,
     // so a trip here resumes by re-entering the loop at k exactly.
     StopReason boundary = tracker.CheckBoundary();
     if (boundary != StopReason::kCompleted) {
-      return FinishPartial(std::move(state), n, boundary);
+      return FinishPartial(std::move(state), options, boundary);
     }
-    obs::TraceSpan level_span("levelwise.level", "core", {{"level", k + 1}});
+    obs::TraceSpan level_span(level_name, "core", {{"level", k + 1}});
     obs::FlightRecorder::Global().Record(
-        obs::FlightEventType::kLevel, "levelwise.level",
+        obs::FlightEventType::kLevel, level_name.c_str(),
         static_cast<int64_t>(k + 1),
         static_cast<int64_t>(state.level.size()));
     (void)obs::SampleMemory();
     std::vector<ItemVec> candidates;
+    std::vector<JoinParents> parents;
     if (k == 0) {
       candidates = SingletonCandidates(n);
     } else {
@@ -135,119 +195,120 @@ LevelwiseResult RunLevels(InterestingnessOracle* oracle,
       for (const auto& s : state.level) {
         level_set.insert(Bitset::FromIndices(n, s));
       }
-      candidates = AprioriGen(state.level, level_set, n);
+      candidates = AprioriGen(state.level, level_set, n, &parents);
     }
 
-    // Step 4 of Algorithm 9: evaluate the whole level C_l as one batch —
-    // the queries are mutually independent, so a parallel oracle may
-    // answer them concurrently.  A batch of size m charges exactly m
-    // queries, keeping Theorem 10's |Th| + |Bd-| accounting exact.
     std::vector<Bitset> batch;
     batch.reserve(candidates.size());
-    uint64_t batch_bytes = 0;
     for (const auto& cand : candidates) {
       batch.push_back(Bitset::FromIndices(n, cand));
-      batch_bytes += (n + 7) / 8;
     }
     // Pre-batch budget check: candidate generation touched no data, so a
     // trip here discards the candidates and the resumed run regenerates
     // them bit-identically; no counter has advanced.
-    StopReason pre = tracker.CheckBeforeBatch(batch.size(), batch_bytes);
+    StopReason pre = tracker.CheckBeforeBatch(
+        batch.size(), uint64_t{batch.size()} * ((n + 7) / 8));
     if (pre != StopReason::kCompleted) {
-      return FinishPartial(std::move(state), n, pre);
+      return FinishPartial(std::move(state), options, pre);
     }
 
-    LevelwiseResult& result = state.result;
     result.levels = k + 1;
     result.candidates += candidates.size();
     result.candidates_per_level.push_back(candidates.size());
-    HGM_OBS_COUNT("levelwise.candidates", candidates.size());
-    HGM_OBS_OBSERVE("levelwise.level_candidates", candidates.size());
+    CountMetric(candidates_name, candidates.size());
+    if (obs::MetricsOn()) {
+      obs::MetricsRegistry::Global()
+          .GetHistogram(engine + ".level_candidates")
+          .Observe(candidates.size());
+    }
     result.queries += batch.size();
     tracker.ChargeQueries(batch.size());
-    HGM_OBS_COUNT("levelwise.queries", batch.size());
-    std::vector<uint8_t> verdicts = oracle->EvaluateBatch(batch);
+    CountMetric(queries_name, batch.size());
+    LevelVerdicts verdicts = evaluate(batch, parents);
+    const bool has_values = !verdicts.values.empty();
 
     std::vector<ItemVec> next;
+    std::vector<Bitset> next_sets;
+    std::vector<uint64_t> next_values;
+    std::vector<uint8_t> extended(state.level.size(), 0);
     for (size_t c = 0; c < candidates.size(); ++c) {
-      if (verdicts[c]) {
-        if (state.record_theory) result.theory.push_back(batch[c]);
-        next.push_back(std::move(candidates[c]));
-      } else {
+      if (!verdicts.interesting[c]) {
         result.negative_border.push_back(std::move(batch[c]));
+        continue;
       }
+      if (!parents.empty()) {
+        extended[parents[c].first] = 1;
+        extended[parents[c].second] = 1;
+      }
+      // Apriori's sweep rebuilds its supersets, so it keeps no copy.
+      if (state.record_theory) {
+        result.theory.push_back(options.rebuild_sweep_supersets
+                                    ? std::move(batch[c])
+                                    : batch[c]);
+        if (has_values) state.theory_values.push_back(verdicts.values[c]);
+      }
+      if (!options.rebuild_sweep_supersets) {
+        next_sets.push_back(std::move(batch[c]));
+      }
+      if (has_values) next_values.push_back(verdicts.values[c]);
+      next.push_back(std::move(candidates[c]));
     }
     result.interesting_per_level.push_back(next.size());
-    HGM_OBS_COUNT("levelwise.interesting", next.size());
+    CountMetric(interesting_name, next.size());
     level_span.AddArg("candidates", candidates.size());
     level_span.AddArg("interesting", next.size());
     level_span.AddArg("border_growth", result.negative_border.size());
 
-    // An interesting k-set is maximal iff it has no interesting
-    // (k+1)-superset; apriori-gen completeness guarantees every interesting
-    // (k+1)-set appears in `next`, so diffing against it is exact.
-    std::vector<Bitset> next_sets;
-    next_sets.reserve(next.size());
-    for (const auto& s : next) {
-      next_sets.push_back(Bitset::FromIndices(n, s));
-    }
     if (audit::kEnabled) {
       // Frontier contract behind Theorem 10: every interesting (k+1)-set
       // extends only interesting k-sets (the theory is downward closed).
-      std::vector<Bitset> level_sets;
-      level_sets.reserve(state.level.size());
+      std::vector<Bitset> level_sets, next_level_sets;
       for (const auto& s : state.level) {
         level_sets.push_back(Bitset::FromIndices(n, s));
       }
-      audit::AuditFrontierClosure(level_sets, next_sets, "levelwise");
-    }
-    for (const auto& s : state.level) {
-      Bitset x = Bitset::FromIndices(n, s);
-      bool extended = false;
-      for (const auto& sup : next_sets) {
-        if (x.IsSubsetOf(sup)) {
-          extended = true;
-          break;
-        }
+      for (const auto& s : next) {
+        next_level_sets.push_back(Bitset::FromIndices(n, s));
       }
-      if (!extended) state.maximal_candidates.push_back(std::move(x));
+      audit::AuditFrontierClosure(level_sets, next_level_sets,
+                                  level_name.c_str());
+    }
+    // Maximality: an interesting k-set is maximal iff no interesting
+    // (k+1)-superset exists.  Join parents of an interesting candidate are
+    // not; the rest are swept.
+    if (options.compute_maximal) {
+      SweepMaximal(state.level, extended, next, next_sets,
+                   options.rebuild_sweep_supersets, n,
+                   &state.maximal_candidates);
     }
     state.level = std::move(next);
+    state.level_values = std::move(next_values);
   }
 
-  LevelwiseResult result = std::move(state.result);
   // Whatever remains in `level` when the loop exits on the max_level cap is
   // maximal within the truncated lattice.
   const bool truncated = !state.level.empty();
-  std::vector<Bitset> maximal = std::move(state.maximal_candidates);
-  for (const auto& s : state.level) {
-    maximal.push_back(Bitset::FromIndices(n, s));
+  if (options.compute_maximal) {
+    // The sweep already guarantees maximality for untruncated runs, but a
+    // final antichain pass keeps the contract unconditional.
+    result.positive_border = MaximalOf(&state, n);
   }
-
-  // The per-level diff already guarantees maximality for untruncated runs,
-  // but a final antichain pass keeps the contract unconditional.
-  AntichainMaximize(&maximal);
-  CanonicalSort(&maximal);
-  result.positive_border = std::move(maximal);
-
+  state.level.clear();
+  state.level_values.clear();
   CanonicalSort(&result.negative_border);
-  if (state.record_theory) CanonicalSort(&result.theory);
 
   if (audit::kEnabled) {
-    audit::AuditAntichain(result.positive_border, "levelwise Bd+");
-    audit::AuditAntichain(result.negative_border, "levelwise Bd-");
+    audit::AuditAntichain(result.positive_border, "Bd+");
+    audit::AuditAntichain(result.negative_border, "Bd-");
     // Theorem 7 only relates the borders of the *full* theory; a max_level
     // cap truncates both, so the cross-check applies to complete runs.
-    if (!truncated) {
+    if (!truncated && options.compute_maximal) {
       audit::AuditBorderDuality(result.positive_border,
-                                result.negative_border, n, "levelwise");
+                                result.negative_border, n,
+                                level_name.c_str());
     }
   }
-  PublishLevelwiseGauges(result, n);
-  return result;
+  return std::move(state);
 }
-
-}  // namespace
 
 LevelwiseResult RunLevelwise(InterestingnessOracle* oracle,
                              const LevelwiseOptions& options) {
@@ -255,7 +316,7 @@ LevelwiseResult RunLevelwise(InterestingnessOracle* oracle,
   HGM_OBS_COUNT("levelwise.runs", 1);
   obs::TraceSpan run_span("levelwise.run", "core", {{"width", n}});
 
-  LevelwiseState state;
+  LevelState state;
   state.record_theory = options.record_theory;
   LevelwiseResult& result = state.result;
 
@@ -267,24 +328,18 @@ LevelwiseResult RunLevelwise(InterestingnessOracle* oracle,
   result.candidates_per_level.push_back(1);
   HGM_OBS_COUNT("levelwise.candidates", 1);
   HGM_OBS_COUNT("levelwise.queries", 1);
-  if (!oracle->IsInteresting(Bitset(n))) {
+  if (oracle->IsInteresting(Bitset(n))) {
+    HGM_OBS_COUNT("levelwise.interesting", 1);
+    result.interesting_per_level.push_back(1);
+    if (options.record_theory) result.theory.push_back(Bitset(n));
+    state.level.push_back(ItemVec{});
+  } else {
     // Nothing is interesting; Th = ∅ and Bd- = {∅}.
     result.negative_border.push_back(Bitset(n));
     result.interesting_per_level.push_back(0);
-    if (audit::kEnabled) {
-      audit::AuditBorderDuality(result.positive_border,
-                                result.negative_border, n, "levelwise");
-    }
-    PublishLevelwiseGauges(result, n);
-    run_span.AddArg("queries", result.queries);
-    return result;
   }
-  HGM_OBS_COUNT("levelwise.interesting", 1);
-  result.interesting_per_level.push_back(1);
-  if (options.record_theory) result.theory.push_back(Bitset(n));
-  state.level.push_back(ItemVec{});
 
-  LevelwiseResult out = RunLevels(oracle, options, std::move(state));
+  LevelwiseResult out = RunOracleLevels(oracle, options, std::move(state));
   run_span.AddArg("queries", out.queries);
   run_span.AddArg("levels", out.levels);
   return out;
@@ -306,7 +361,7 @@ Result<LevelwiseResult> ResumeLevelwise(InterestingnessOracle* oracle,
   HGM_OBS_COUNT("levelwise.runs", 1);
   obs::TraceSpan run_span("levelwise.resume", "core", {{"width", n}});
 
-  LevelwiseState state;
+  LevelState state;
   uint64_t v = 0;
   if (!checkpoint.GetScalar("next_level", &v)) {
     return Status::InvalidArgument("levelwise checkpoint missing next_level");
@@ -325,19 +380,11 @@ Result<LevelwiseResult> ResumeLevelwise(InterestingnessOracle* oracle,
   if (!s.ok()) return s;
   state.level.reserve(frontier.size());
   for (const Bitset& f : frontier) {
-    ItemVec items;
-    for (size_t i : f.Indices()) items.push_back(static_cast<uint32_t>(i));
-    state.level.push_back(std::move(items));
+    const std::vector<size_t> items = f.Indices();
+    state.level.emplace_back(items.begin(), items.end());
   }
-  // The frontier must be one uniform level below the resume point.
-  for (const ItemVec& f : state.level) {
-    if (f.size() != state.next_level) {
-      return Status::InvalidArgument(
-          "levelwise checkpoint frontier set of size " +
-          std::to_string(f.size()) + " at level " +
-          std::to_string(state.next_level));
-    }
-  }
+  s = CheckFrontier(state.level, state.next_level);
+  if (!s.ok()) return s;
   s = ReadSetSection(checkpoint, "maximal", n, &state.maximal_candidates);
   if (!s.ok()) return s;
   s = ReadSetSection(checkpoint, "negative_border", n,
@@ -354,10 +401,26 @@ Result<LevelwiseResult> ResumeLevelwise(InterestingnessOracle* oracle,
                        &state.result.interesting_per_level);
   if (!s.ok()) return s;
 
-  LevelwiseResult out = RunLevels(oracle, options, std::move(state));
+  LevelwiseResult out = RunOracleLevels(oracle, options, std::move(state));
   run_span.AddArg("queries", out.queries);
   run_span.AddArg("levels", out.levels);
   return out;
+}
+
+Status CheckFrontier(const std::vector<ItemVec>& level, size_t next_level) {
+  for (size_t i = 0; i < level.size(); ++i) {
+    if (level[i].size() != next_level) {
+      return Status::InvalidArgument(
+          "checkpoint frontier set of size " +
+          std::to_string(level[i].size()) + " at level " +
+          std::to_string(next_level));
+    }
+    if (i > 0 && !(level[i - 1] < level[i])) {
+      return Status::InvalidArgument(
+          "checkpoint frontier is not in sorted order");
+    }
+  }
+  return Status::OK();
 }
 
 PartialTheory AsPartialTheory(const LevelwiseResult& result) {

@@ -18,9 +18,11 @@
 /// sets this is 2^k * n * |MTh| (Corollary 13).
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
+#include "common/apriori_gen.h"
 #include "common/bitset.h"
 #include "common/run_budget.h"
 #include "core/checkpoint.h"
@@ -89,6 +91,83 @@ LevelwiseResult RunLevelwise(InterestingnessOracle* oracle,
 Result<LevelwiseResult> ResumeLevelwise(InterestingnessOracle* oracle,
                                         const Checkpoint& checkpoint,
                                         const LevelwiseOptions& options = {});
+
+// -- The shared level driver. -------------------------------------------
+//
+// RunLevelwise and Apriori (mining/apriori.h) are both this loop.  The
+// driver owns join/prune, the budget boundaries, partial certification,
+// Bd+/Bd- bookkeeping, the Theorem 10 tally and the per-level spans and
+// flight events; an engine supplies only the evaluation of one level and
+// the checkpoint format it persists.
+
+/// One level's decisions, in candidate order.
+struct LevelVerdicts {
+  std::vector<uint8_t> interesting;
+  /// Engine payload kept with each interesting set (Apriori: its
+  /// support); empty when the engine has none.
+  std::vector<uint64_t> values;
+};
+
+/// Evaluates one level C_{k+1}.  \p parents holds, in step with
+/// \p candidates, the indices of each candidate's two join parents in the
+/// previous level's interesting sets (LevelState::level order); it is empty
+/// for the singleton level, whose only parent is ∅.
+using LevelEvaluator = std::function<LevelVerdicts(
+    const std::vector<Bitset>& candidates,
+    const std::vector<JoinParents>& parents)>;
+
+/// Algorithm 9's state at a level boundary: everything a checkpoint must
+/// capture for a resumed run to be bit-identical.
+struct LevelState {
+  /// Accumulating output: Th in evaluation order, Bd-, tallies.
+  LevelwiseResult result;
+  /// Evaluator values of result.theory, in step (empty when none).
+  std::vector<uint64_t> theory_values;
+  /// Interesting sets of size next_level, sorted, with their values.
+  std::vector<ItemVec> level;
+  std::vector<uint64_t> level_values;
+  /// Interesting sets already known to have no interesting superset.
+  std::vector<Bitset> maximal_candidates;
+  /// Loop index k to run next (the level of size-(k+1) candidates).
+  size_t next_level = 0;
+  bool record_theory = true;
+};
+
+/// How RunLevels runs; the engine fills this in.
+struct LevelDriverOptions {
+  size_t width = 0;
+  size_t max_level = Bitset::npos;
+  /// When false a completed run leaves positive_border empty and skips
+  /// the per-level maximality sweep.
+  bool compute_maximal = true;
+  /// Sweep with each next-level set rebuilt for every comparison instead
+  /// of reusing the candidate's set.  Same output, many more allocations:
+  /// it keeps Apriori at the cost that perf_partition_smoke and
+  /// perf_stream_smoke are calibrated against, until partition and
+  /// stream mining are fast enough to beat an Apriori without it (ROADMAP,
+  /// "Honest baselines").  Only MineFrequentSets sets it.
+  bool rebuild_sweep_supersets = false;
+  RunBudget budget;
+  /// Prefix of the per-level span, flight label and counters
+  /// ("levelwise" -> "levelwise.level", "levelwise.candidates", ...).
+  const char* engine = "levelwise";
+  /// Serializes the state at a budget trip into the engine's checkpoint.
+  std::function<Checkpoint(const LevelState&)> freeze;
+};
+
+/// Runs levels next_level, next_level + 1, ... of Algorithm 9 from
+/// \p state (level 0, the query on ∅, is the engine's).  Returns the
+/// finished state: result.theory (with theory_values in step) stays in
+/// evaluation order; both borders are filled in, Bd- canonically sorted.
+/// A budget trip stops at a level boundary with the certified prefix and
+/// result.checkpoint = options.freeze(state).
+LevelState RunLevels(const LevelEvaluator& evaluate,
+                     const LevelDriverOptions& options, LevelState&& state);
+
+/// Resume-time validation of a checkpointed frontier: the sets of one
+/// level, all of size \p next_level, sorted and duplicate-free as the
+/// join requires.
+Status CheckFrontier(const std::vector<ItemVec>& level, size_t next_level);
 
 /// The certified-partial view of \p result (for budget-tripped runs; for
 /// completed runs the checkpoint member is empty).

@@ -2,332 +2,158 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
+#include <functional>
 #include <utility>
 
-#include "common/apriori_gen.h"
-#include "core/audit.h"
+#include "core/levelwise.h"
 #include "core/theory.h"
-#include "mining/hash_tree.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/resource.h"
 #include "obs/trace.h"
 
 namespace hgm {
 
 namespace {
 
-/// A frequent set at the current level: sorted items + cover bitmap over
-/// rows (cover only maintained in tidset mode).
-struct LevelEntry {
-  ItemVec items;
-  Bitset cover;  // rows containing `items`
-  size_t support = 0;
+/// Tidset counting as the level driver's evaluator.  A candidate's support
+/// is the popcount of its two join parents' covers ANDed, counted without
+/// materializing the intersection; covers are built and kept only for the
+/// frequent candidates, which become the next frontier.
+class TidsetEvaluator {
+ public:
+  TidsetEvaluator(TransactionDatabase* db, size_t min_support,
+                  ThreadPool* pool, std::vector<Bitset> covers)
+      : db_(db),
+        min_support_(min_support),
+        pool_(pool),
+        covers_(std::move(covers)) {}
+
+  LevelVerdicts operator()(const std::vector<Bitset>& candidates,
+                           const std::vector<JoinParents>& parents) {
+    retired_.clear();
+    const size_t m = candidates.size();
+    LevelVerdicts out;
+    out.values.assign(m, 0);
+    std::vector<Bitset> covers(m);
+    if (parents.empty()) {
+      // Singletons: the cover is the item's tidset.
+      for (size_t c = 0; c < m; ++c) {
+        Bitset cover = db_->ItemCover(candidates[c].FindFirst());
+        out.values[c] = cover.Count();
+        if (out.values[c] >= min_support_) covers[c] = std::move(cover);
+      }
+    } else {
+      // Parallel across candidates with index-addressed writes, so the
+      // result is the same at every thread count.
+      pool_->ParallelFor(m, [&](size_t begin, size_t end, size_t) {
+        for (size_t c = begin; c < end; ++c) {
+          const Bitset& a = covers_[parents[c].first];
+          const Bitset& b = covers_[parents[c].second];
+          out.values[c] = a.IntersectionCount(b);
+          if (out.values[c] >= min_support_) covers[c] = a & b;
+        }
+      });
+    }
+    out.interesting.assign(m, 0);
+    std::vector<Bitset> next;
+    for (size_t c = 0; c < m; ++c) {
+      if (out.values[c] < min_support_) continue;
+      out.interesting[c] = 1;
+      next.push_back(std::move(covers[c]));
+    }
+    // The old frontier's covers are freed on the next call, after the
+    // driver's sweep: freed before it, their memory is fragmented by the
+    // sweep's small allocations and the next covers fault in fresh pages
+    // (~1.5x the page faults on a 200k-row basket).
+    retired_ = std::move(covers_);
+    covers_ = std::move(next);
+    return out;
+  }
+
+ private:
+  TransactionDatabase* db_;
+  size_t min_support_;
+  ThreadPool* pool_;
+  std::vector<Bitset> covers_;   // of the current frontier, in its order
+  std::vector<Bitset> retired_;  // of the previous frontier
 };
 
-void SortFrequent(std::vector<FrequentItemset>* frequent) {
-  std::sort(frequent->begin(), frequent->end(),
-            [](const FrequentItemset& a, const FrequentItemset& b) {
-              size_t ca = a.items.Count(), cb = b.items.Count();
-              if (ca != cb) return ca < cb;
-              return a.items < b.items;
-            });
-}
-
-/// Mutable miner state at a level boundary.
-struct AprioriState {
-  AprioriResult result;           // accumulating (unsorted) output
-  std::vector<LevelEntry> level;  // frequent sets of size next_level - 1
-  std::vector<Bitset> maximal;    // no frequent superset found yet
-  /// Size of the candidate sets to count next; 1 means the item scan is
-  /// still pending (frontier empty), k >= 2 means k-sets are pending.
-  size_t next_level = 1;
-  size_t min_support = 0;
-  bool record_all = true;
-};
-
-/// Freezes \p state into a kind="apriori" checkpoint.  Covers are not
-/// stored — tidset-mode resume rebuilds them from the database.
-Checkpoint MakeAprioriCheckpoint(const AprioriState& state, size_t n) {
+/// Freezes \p state into a kind="apriori" checkpoint.  Its next_level is
+/// the size of the candidates to count next (the driver's loop index + 1);
+/// covers are not stored — resume rebuilds them from the database.
+Checkpoint MakeAprioriCheckpoint(const LevelState& state, size_t n,
+                                 size_t min_support) {
   Checkpoint cp;
   cp.kind = "apriori";
   cp.width = n;
-  cp.SetScalar("next_level", state.next_level);
-  cp.SetScalar("support_counts", state.result.support_counts);
-  cp.SetScalar("min_support", state.min_support);
-  cp.SetScalar("record_all", state.record_all ? 1 : 0);
+  cp.SetScalar("next_level", state.next_level + 1);
+  cp.SetScalar("support_counts", state.result.queries);
+  cp.SetScalar("min_support", min_support);
+  cp.SetScalar("record_all", state.record_theory ? 1 : 0);
   std::vector<CheckpointEntry>* frontier = cp.AddSection("frontier");
-  frontier->reserve(state.level.size());
-  for (const LevelEntry& e : state.level) {
-    frontier->push_back({Bitset::FromIndices(n, e.items), e.support});
+  // Before the item scan the frontier is ∅ alone, which this format
+  // leaves implicit.
+  if (state.next_level > 0) {
+    frontier->reserve(state.level.size());
+    for (size_t i = 0; i < state.level.size(); ++i) {
+      frontier->push_back(
+          {Bitset::FromIndices(n, state.level[i]), state.level_values[i]});
+    }
   }
-  AddSetSection(&cp, "maximal", state.maximal);
+  AddSetSection(&cp, "maximal", state.maximal_candidates);
   AddSetSection(&cp, "negative_border", state.result.negative_border);
-  if (state.record_all) {
+  if (state.record_theory) {
     std::vector<CheckpointEntry>* freq = cp.AddSection("frequent");
-    freq->reserve(state.result.frequent.size());
-    for (const FrequentItemset& f : state.result.frequent) {
-      freq->push_back({f.items, f.support});
+    freq->reserve(state.result.theory.size());
+    for (size_t i = 0; i < state.result.theory.size(); ++i) {
+      freq->push_back({state.result.theory[i], state.theory_values[i]});
     }
   }
   AddCountSection(&cp, "candidates_per_level",
                   state.result.candidates_per_level);
-  AddCountSection(&cp, "frequent_per_level", state.result.frequent_per_level);
+  AddCountSection(&cp, "frequent_per_level",
+                  state.result.interesting_per_level);
   return cp;
 }
 
-/// Certified partial result for a budget trip at the boundary of level
-/// `state.next_level`.
-AprioriResult FinishPartial(AprioriState&& state, size_t n,
-                            StopReason reason) {
-  // Freeze the checkpoint before any move empties the state's containers.
-  Checkpoint cp = MakeAprioriCheckpoint(state, n);
-  AprioriResult result = std::move(state.result);
-  result.stop_reason = reason;
-  result.checkpoint = std::move(cp);
-  std::vector<Bitset> maximal = std::move(state.maximal);
-  for (const LevelEntry& e : state.level) {
-    maximal.push_back(Bitset::FromIndices(n, e.items));
-  }
-  // A pre-item-scan trip knows only that ∅ is frequent.
-  if (maximal.empty() && !result.frequent_per_level.empty() &&
-      result.frequent_per_level[0] == 1) {
-    maximal.push_back(Bitset(n));
-  }
-  AntichainMaximize(&maximal);
-  CanonicalSort(&maximal);
-  result.maximal = std::move(maximal);
-  CanonicalSort(&result.negative_border);
-  SortFrequent(&result.frequent);
-  if (audit::kEnabled) {
-    audit::AuditAntichain(result.maximal, "apriori partial Bd+");
-    audit::AuditAntichain(result.negative_border, "apriori partial Bd-");
-  }
-  return result;
-}
-
-/// The item scan, the level loop, and the finishing passes, shared by
-/// fresh and resumed runs.  Consumes \p state; on entry level 0 has been
-/// handled (∅ is frequent, or the run already returned complete).
-AprioriResult RunAprioriLevels(TransactionDatabase* db,
-                               const AprioriOptions& options,
-                               AprioriState&& state) {
+/// Runs the level driver with tidset counting from \p state, whose
+/// frontier has the given \p covers, and converts the finished state.
+AprioriResult RunTidsetLevels(TransactionDatabase* db, size_t min_support,
+                              const AprioriOptions& options,
+                              LevelState&& state,
+                              std::vector<Bitset> covers) {
   const size_t n = db->num_items();
-  const size_t min_support = state.min_support;
-  ThreadPool* pool = PoolOrGlobal(options.pool);
-  const bool tidsets = options.counting == SupportCountingMode::kTidsets;
-  AprioriResult& result = state.result;
-  BudgetTracker tracker(options.budget, result.support_counts);
+  TidsetEvaluator tidsets(db, min_support, PoolOrGlobal(options.pool),
+                          std::move(covers));
+  LevelDriverOptions driver;
+  driver.width = n;
+  // Apriori always scans the items, whatever the cap.
+  driver.max_level = std::max<size_t>(options.max_level, 1);
+  driver.compute_maximal = options.compute_maximal;
+  driver.rebuild_sweep_supersets = true;
+  driver.budget = options.budget;
+  driver.engine = "apriori";
+  driver.freeze = [n, min_support](const LevelState& s) {
+    return MakeAprioriCheckpoint(s, n, min_support);
+  };
+  LevelState done = RunLevels(std::ref(tidsets), driver, std::move(state));
 
-  std::vector<LevelEntry>& level = state.level;
-  std::vector<Bitset>& maximal = state.maximal;
-
-  // Level 1: items.
-  if (state.next_level == 1) {
-    StopReason pre =
-        tracker.CheckBeforeBatch(n, uint64_t{n} * ((n + 7) / 8));
-    if (pre != StopReason::kCompleted) {
-      return FinishPartial(std::move(state), n, pre);
-    }
-    obs::TraceSpan level_span("apriori.level", "mining",
-                              {{"level", 1}, {"candidates", n}});
-    obs::FlightRecorder::Global().Record(obs::FlightEventType::kLevel,
-                                         "apriori.level", 1,
-                                         static_cast<int64_t>(n));
-    result.candidates_per_level.push_back(n);
-    tracker.ChargeQueries(n);
-    size_t kept = 0;
-    for (size_t item = 0; item < n; ++item) {
-      ++result.support_counts;
-      Bitset cover = db->ItemCover(item);
-      size_t support = cover.Count();
-      Bitset x = Bitset::Singleton(n, item);
-      if (support >= min_support) {
-        LevelEntry e;
-        e.items = ItemVec{static_cast<uint32_t>(item)};
-        if (tidsets) e.cover = std::move(cover);
-        e.support = support;
-        level.push_back(std::move(e));
-        ++kept;
-        if (state.record_all) result.frequent.push_back({x, support});
-      } else {
-        result.negative_border.push_back(x);
-      }
-    }
-    result.frequent_per_level.push_back(kept);
-    HGM_OBS_COUNT("apriori.candidates", n);
-    HGM_OBS_COUNT("apriori.frequent", kept);
-    level_span.AddArg("frequent", kept);
-    if (options.compute_maximal && level.empty()) {
-      maximal.push_back(Bitset(n));  // ∅ is maximal
-    }
-    state.next_level = 2;
+  AprioriResult out;
+  LevelwiseResult& r = done.result;
+  out.frequent.reserve(r.theory.size());
+  for (size_t i = 0; i < r.theory.size(); ++i) {
+    out.frequent.push_back({std::move(r.theory[i]), done.theory_values[i]});
   }
-
-  // Levels k -> k+1.
-  for (size_t k = state.next_level - 1;
-       !level.empty() && k < options.max_level; ++k) {
-    state.next_level = k + 1;
-    // Checkpointable boundary: level k+1 has left no trace yet.
-    StopReason boundary = tracker.CheckBoundary();
-    if (boundary != StopReason::kCompleted) {
-      return FinishPartial(std::move(state), n, boundary);
-    }
-    obs::TraceSpan level_span("apriori.level", "mining",
-                              {{"level", k + 1}});
-    obs::FlightRecorder::Global().Record(
-        obs::FlightEventType::kLevel, "apriori.level",
-        static_cast<int64_t>(k + 1), static_cast<int64_t>(level.size()));
-    (void)obs::SampleMemory();
-    // Membership set for the prune step.
-    std::unordered_set<Bitset, BitsetHash> level_set;
-    for (const auto& e : level) {
-      level_set.insert(Bitset::FromIndices(n, e.items));
-    }
-
-    // Join + prune: collect the level's candidates with their parents.
-    struct Candidate {
-      ItemVec items;
-      size_t parent_i, parent_j;
-    };
-    std::vector<Candidate> candidates;
-    for (size_t i = 0; i < level.size(); ++i) {
-      for (size_t j = i + 1; j < level.size(); ++j) {
-        if (!std::equal(level[i].items.begin(), level[i].items.end() - 1,
-                        level[j].items.begin())) {
-          break;  // sorted level: prefix blocks are contiguous
-        }
-        ItemVec cand = level[i].items;
-        cand.push_back(level[j].items.back());
-        if (cand[k - 1] > cand[k]) std::swap(cand[k - 1], cand[k]);
-        // Prune: every k-subset must be frequent.
-        bool ok = true;
-        for (size_t drop = 0; ok && drop + 2 <= cand.size(); ++drop) {
-          ItemVec sub;
-          sub.reserve(k);
-          for (size_t t = 0; t < cand.size(); ++t) {
-            if (t != drop) sub.push_back(cand[t]);
-          }
-          ok = level_set.contains(Bitset::FromIndices(n, sub));
-        }
-        if (ok) candidates.push_back({std::move(cand), i, j});
-      }
-    }
-
-    // Pre-batch budget check: the join is pure, so a trip here discards
-    // the candidates and the resumed run regenerates them bit-identically.
-    StopReason pre = tracker.CheckBeforeBatch(
-        candidates.size(), uint64_t{candidates.size()} * ((n + 7) / 8));
-    if (pre != StopReason::kCompleted) {
-      return FinishPartial(std::move(state), n, pre);
-    }
-
-    // Count supports with the selected backend.  Each backend evaluates
-    // the level's candidates as one parallel batch; all are deterministic
-    // at any thread count (index-addressed writes or per-chunk partial
-    // counts reduced in chunk order).
-    std::vector<size_t> supports(candidates.size(), 0);
-    std::vector<Bitset> covers;
-    switch (options.counting) {
-      case SupportCountingMode::kTidsets:
-        // Parallel across candidates: each counts the AND of its two join
-        // parents' covers into its own slot without materializing it, and
-        // builds the cover only when the candidate is frequent (the
-        // infrequent ones are discarded, so their covers never are).
-        covers.assign(candidates.size(), Bitset());
-        pool->ParallelFor(
-            candidates.size(), [&](size_t begin, size_t end, size_t) {
-              for (size_t c = begin; c < end; ++c) {
-                const Bitset& a = level[candidates[c].parent_i].cover;
-                const Bitset& b = level[candidates[c].parent_j].cover;
-                supports[c] = a.IntersectionCount(b);
-                if (supports[c] >= min_support) covers[c] = a & b;
-              }
-            });
-        break;
-      case SupportCountingMode::kHorizontal: {
-        // Parallel across transactions: chunked scan with per-candidate
-        // partial counts reduced per chunk.
-        std::vector<Bitset> cand_sets;
-        cand_sets.reserve(candidates.size());
-        for (const auto& c : candidates) {
-          cand_sets.push_back(Bitset::FromIndices(n, c.items));
-        }
-        supports = db->CountSupportsHorizontal(cand_sets, pool);
-        break;
-      }
-      case SupportCountingMode::kHashTree: {
-        std::vector<ItemVec> cand_items;
-        cand_items.reserve(candidates.size());
-        for (const auto& c : candidates) cand_items.push_back(c.items);
-        supports = CountSupportsHashTree(cand_items, *db, 8, pool);
-        break;
-      }
-    }
-    result.support_counts += candidates.size();
-    tracker.ChargeQueries(candidates.size());
-
-    std::vector<LevelEntry> next;
-    std::vector<uint8_t> extended(level.size(), 0);
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      Bitset x = Bitset::FromIndices(n, candidates[c].items);
-      if (supports[c] >= min_support) {
-        extended[candidates[c].parent_i] = 1;
-        extended[candidates[c].parent_j] = 1;
-        LevelEntry e;
-        e.items = std::move(candidates[c].items);
-        if (tidsets) e.cover = std::move(covers[c]);
-        e.support = supports[c];
-        if (state.record_all) {
-          result.frequent.push_back({x, supports[c]});
-        }
-        next.push_back(std::move(e));
-      } else {
-        result.negative_border.push_back(std::move(x));
-      }
-    }
-    result.candidates_per_level.push_back(candidates.size());
-    result.frequent_per_level.push_back(next.size());
-    HGM_OBS_COUNT("apriori.candidates", candidates.size());
-    HGM_OBS_COUNT("apriori.frequent", next.size());
-    HGM_OBS_OBSERVE("apriori.level_candidates", candidates.size());
-    level_span.AddArg("candidates", candidates.size());
-    level_span.AddArg("frequent", next.size());
-
-    // Maximality: a frequent k-set is maximal iff no frequent
-    // (k+1)-superset exists.  The join marks only the two parents, so
-    // finish with a subset sweep for correctness.
-    if (options.compute_maximal) {
-      for (size_t i = 0; i < level.size(); ++i) {
-        if (extended[i]) continue;
-        Bitset x = Bitset::FromIndices(n, level[i].items);
-        bool covered = false;
-        for (const auto& e : next) {
-          if (x.IsSubsetOf(Bitset::FromIndices(n, e.items))) {
-            covered = true;
-            break;
-          }
-        }
-        if (!covered) maximal.push_back(std::move(x));
-      }
-    }
-    level = std::move(next);
-  }
-  // Sets remaining when the loop exits via the max_level cap are maximal
-  // within the truncated lattice.
-  if (options.compute_maximal) {
-    for (const auto& e : level) {
-      maximal.push_back(Bitset::FromIndices(n, e.items));
-    }
-    AntichainMaximize(&maximal);
-    CanonicalSort(&maximal);
-  }
-  AprioriResult out = std::move(result);
-  out.maximal = std::move(maximal);
-  CanonicalSort(&out.negative_border);
   SortFrequent(&out.frequent);
-  HGM_OBS_COUNT("apriori.support_counts", out.support_counts);
+  out.maximal = std::move(r.positive_border);
+  out.negative_border = std::move(r.negative_border);
+  out.support_counts = r.queries;
+  out.candidates_per_level = std::move(r.candidates_per_level);
+  out.frequent_per_level = std::move(r.interesting_per_level);
+  out.stop_reason = r.stop_reason;
+  out.checkpoint = std::move(r.checkpoint);
+  if (out.stop_reason == StopReason::kCompleted) {
+    HGM_OBS_COUNT("apriori.support_counts", out.support_counts);
+  }
   return out;
 }
 
@@ -341,25 +167,29 @@ AprioriResult MineFrequentSets(TransactionDatabase* db, size_t min_support,
   obs::TraceSpan run_span("apriori.run", "mining",
                           {{"items", n}, {"rows", num_rows}});
 
-  AprioriState state;
-  state.min_support = min_support;
-  state.record_all = options.record_all;
-  AprioriResult& result = state.result;
+  LevelState state;
+  state.record_theory = options.record_all;
+  LevelwiseResult& result = state.result;
 
-  // Level 0: the empty itemset.
-  ++result.support_counts;
+  // Level 0: the empty itemset, supported by every row.
+  result.queries = 1;
+  result.candidates = 1;
   result.candidates_per_level.push_back(1);
-  if (num_rows < min_support) {
+  if (num_rows >= min_support) {
+    result.interesting_per_level.push_back(1);
+    if (options.record_all) {
+      result.theory.push_back(Bitset(n));
+      state.theory_values.push_back(num_rows);
+    }
+    state.level.push_back(ItemVec{});
+    state.level_values.push_back(num_rows);
+  } else {
     result.negative_border.push_back(Bitset(n));
-    result.frequent_per_level.push_back(0);
-    return std::move(result);
-  }
-  result.frequent_per_level.push_back(1);
-  if (options.record_all) {
-    result.frequent.push_back({Bitset(n), num_rows});
+    result.interesting_per_level.push_back(0);
   }
 
-  AprioriResult out = RunAprioriLevels(db, options, std::move(state));
+  AprioriResult out =
+      RunTidsetLevels(db, min_support, options, std::move(state), {});
   run_span.AddArg("support_counts", out.support_counts);
   run_span.AddArg("maximal", out.maximal.size());
   return out;
@@ -381,74 +211,61 @@ Result<AprioriResult> ResumeFrequentSets(TransactionDatabase* db,
   HGM_OBS_COUNT("apriori.runs", 1);
   obs::TraceSpan run_span("apriori.resume", "mining", {{"items", n}});
 
-  AprioriState state;
+  LevelState state;
   uint64_t v = 0;
   if (!checkpoint.GetScalar("next_level", &v) || v == 0) {
     return Status::InvalidArgument("apriori checkpoint missing next_level");
   }
-  state.next_level = static_cast<size_t>(v);
+  state.next_level = static_cast<size_t>(v - 1);
   if (!checkpoint.GetScalar("min_support", &v)) {
     return Status::InvalidArgument("apriori checkpoint missing min_support");
   }
-  state.min_support = static_cast<size_t>(v);
-  if (checkpoint.GetScalar("support_counts", &v)) {
-    state.result.support_counts = v;
-  }
-  state.record_all = checkpoint.GetScalar("record_all", &v) ? v != 0 : true;
+  const size_t min_support = static_cast<size_t>(v);
+  if (checkpoint.GetScalar("support_counts", &v)) state.result.queries = v;
+  state.record_theory =
+      checkpoint.GetScalar("record_all", &v) ? v != 0 : true;
 
-  const bool tidsets = options.counting == SupportCountingMode::kTidsets;
+  // Covers are not checkpointed: the frontier's are rebuilt from the
+  // database.  These reads are not support computations, so the query
+  // tally stays bit-identical to an uninterrupted run.
+  std::vector<Bitset> covers;
   const std::vector<CheckpointEntry>* frontier =
       checkpoint.FindSection("frontier");
   if (frontier != nullptr) {
-    state.level.reserve(frontier->size());
     for (const CheckpointEntry& e : *frontier) {
       if (e.items.size() != n) {
         return Status::InvalidArgument(
             "apriori checkpoint frontier width mismatch");
       }
-      if (e.items.Count() + 1 != state.next_level) {
-        return Status::InvalidArgument(
-            "apriori checkpoint frontier set of size " +
-            std::to_string(e.items.Count()) + " ahead of level " +
-            std::to_string(state.next_level));
-      }
-      LevelEntry entry;
-      for (size_t i : e.items.Indices()) {
-        entry.items.push_back(static_cast<uint32_t>(i));
-      }
-      entry.support = static_cast<size_t>(e.value);
-      if (tidsets) {
-        // Rebuild the cover from the database (covers are not
-        // checkpointed); these reads are not support computations, so
-        // the query tally stays bit-identical to an uninterrupted run.
-        Bitset cover;
-        bool first = true;
-        for (uint32_t item : entry.items) {
-          cover = first ? db->ItemCover(item) : (cover & db->ItemCover(item));
-          first = false;
-        }
-        entry.cover = std::move(cover);
-      }
-      state.level.push_back(std::move(entry));
+      const std::vector<size_t> items = e.items.Indices();
+      state.level.emplace_back(items.begin(), items.end());
+      state.level_values.push_back(e.value);
+      covers.push_back(db->Cover(e.items));
     }
   }
-  Status s = ReadSetSection(checkpoint, "maximal", n, &state.maximal);
+  if (state.next_level == 0 && state.level.empty()) {
+    // The item scan is pending: the frontier is ∅.
+    state.level.push_back(ItemVec{});
+    state.level_values.push_back(db->num_transactions());
+  }
+  Status s = CheckFrontier(state.level, state.next_level);
+  if (!s.ok()) return s;
+  s = ReadSetSection(checkpoint, "maximal", n, &state.maximal_candidates);
   if (!s.ok()) return s;
   s = ReadSetSection(checkpoint, "negative_border", n,
                      &state.result.negative_border);
   if (!s.ok()) return s;
-  if (state.record_all) {
+  if (state.record_theory) {
     const std::vector<CheckpointEntry>* freq =
         checkpoint.FindSection("frequent");
     if (freq != nullptr) {
-      state.result.frequent.reserve(freq->size());
       for (const CheckpointEntry& e : *freq) {
         if (e.items.size() != n) {
           return Status::InvalidArgument(
               "apriori checkpoint frequent width mismatch");
         }
-        state.result.frequent.push_back(
-            {e.items, static_cast<size_t>(e.value)});
+        state.result.theory.push_back(e.items);
+        state.theory_values.push_back(e.value);
       }
     }
   }
@@ -456,10 +273,11 @@ Result<AprioriResult> ResumeFrequentSets(TransactionDatabase* db,
                        &state.result.candidates_per_level);
   if (!s.ok()) return s;
   s = ReadCountSection(checkpoint, "frequent_per_level",
-                       &state.result.frequent_per_level);
+                       &state.result.interesting_per_level);
   if (!s.ok()) return s;
 
-  AprioriResult out = RunAprioriLevels(db, options, std::move(state));
+  AprioriResult out = RunTidsetLevels(db, min_support, options,
+                                      std::move(state), std::move(covers));
   run_span.AddArg("support_counts", out.support_counts);
   run_span.AddArg("maximal", out.maximal.size());
   return out;

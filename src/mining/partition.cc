@@ -14,7 +14,6 @@
 #include "core/audit.h"
 #include "core/theory.h"
 #include "hypergraph/hypergraph.h"
-#include "hypergraph/transversal_berge.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
@@ -99,15 +98,6 @@ struct PartitionState {
   /// *certified* members of Bd-(Th) — the partial negative border.
   std::vector<Bitset> rejected;
 };
-
-void SortFrequent(std::vector<FrequentItemset>* frequent) {
-  std::sort(frequent->begin(), frequent->end(),
-            [](const FrequentItemset& a, const FrequentItemset& b) {
-              size_t ca = a.items.Count(), cb = b.items.Count();
-              if (ca != cb) return ca < cb;
-              return a.items < b.items;
-            });
-}
 
 void PublishPartitionGauges(const PartitionResult& result) {
   HGM_OBS_GAUGE_SET("partition.last_shards",
@@ -265,7 +255,6 @@ bool MineShardsWithFailover(ShardedTransactionDatabase* db,
     // Local maximal sets are never consumed — the global maximal family
     // comes from the confirmed theory — so skip the per-level sweep.
     local_options.compute_maximal = false;
-    local_options.counting = options.local_counting;
     if (pending.size() < pool->num_threads()) {
       // Fewer shards than threads: run them back to back, each on the
       // full pool, checking cancellation at the shard boundary.
@@ -609,29 +598,17 @@ PartitionResult RunPartition(ShardedTransactionDatabase* db,
     result.maximal = std::move(maximal);
   }
 
-  if (options.compute_negative_border) {
-    // Exact Bd-(Th) — phase 2 only ever sees the minimal infrequent sets
-    // that were locally frequent somewhere, which is a subset.  The
-    // default derives the border combinatorially from the confirmed
-    // theory (apriori-gen's rejected candidates), keeping the transversal
-    // enumeration off the critical path; --exact-border swaps in the
-    // Theorem 7 route, which produces the identical family.
-    std::vector<Bitset> theory;
-    theory.reserve(result.frequent.size());
-    for (const FrequentItemset& f : result.frequent) {
-      theory.push_back(f.items);
-    }
-    if (!options.border_via_transversals) {
-      result.negative_border = NegativeBorderViaGeneration(theory, n);
-    } else if (theory.empty()) {
-      result.negative_border.clear();
-      result.negative_border.push_back(Bitset(n));
-    } else {
-      BergeTransversals berge;
-      result.negative_border = NegativeBorderViaTransversals(theory, n, &berge);
-      CanonicalSort(&result.negative_border);
-    }
+  // Exact Bd-(Th) — phase 2 only ever sees the minimal infrequent sets
+  // that were locally frequent somewhere, which is a subset.  It is
+  // derived combinatorially from the confirmed theory (apriori-gen's
+  // rejected candidates), keeping transversal enumeration off the
+  // critical path.
+  std::vector<Bitset> theory;
+  theory.reserve(result.frequent.size());
+  for (const FrequentItemset& f : result.frequent) {
+    theory.push_back(f.items);
   }
+  result.negative_border = NegativeBorderViaGeneration(theory, n);
 
   PublishPartitionGauges(result);
   run_span.AddArg("frequent", result.frequent.size());

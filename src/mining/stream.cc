@@ -15,20 +15,6 @@
 
 namespace hgm {
 
-namespace {
-
-/// AprioriResult's output order: by size, then by set value.
-void SortFrequent(std::vector<FrequentItemset>* frequent) {
-  std::sort(frequent->begin(), frequent->end(),
-            [](const FrequentItemset& a, const FrequentItemset& b) {
-              size_t ca = a.items.Count(), cb = b.items.Count();
-              if (ca != cb) return ca < cb;
-              return a.items < b.items;
-            });
-}
-
-}  // namespace
-
 StreamMiner::StreamMiner(size_t num_items, size_t min_support,
                          size_t window_rows, StreamOptions options)
     : num_items_(num_items),
@@ -199,12 +185,7 @@ Checkpoint StreamMiner::MakeCheckpoint(size_t next_level,
   }
   // Canonical entry order: the map iterates in hash order, which would
   // make checkpoint bytes differ run to run.
-  std::sort(entries->begin(), entries->end(),
-            [](const CheckpointEntry& a, const CheckpointEntry& b) {
-              size_t ca = a.items.Count(), cb = b.items.Count();
-              if (ca != cb) return ca < cb;
-              return a.items < b.items;
-            });
+  SortFrequent(entries);
   return cp;
 }
 

@@ -70,7 +70,8 @@ const char* FlightEventTypeName(FlightEventType t) {
 }
 
 FlightRecorder::FlightRecorder()
-    : slots_(kDefaultCapacity), origin_ns_(SteadyNowNs()) {}
+    : slots_(std::make_unique<Slot[]>(kDefaultCapacity)),
+      origin_ns_(SteadyNowNs()) {}
 
 FlightRecorder& FlightRecorder::Global() {
   static FlightRecorder* recorder = new FlightRecorder();  // never dies
@@ -80,24 +81,51 @@ FlightRecorder& FlightRecorder::Global() {
 void FlightRecorder::Record(FlightEventType type, const char* label,
                             int64_t a, int64_t b) {
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  FlightEvent& e = slots_[seq % capacity_];
-  e.seq = 0;  // mark in-progress so a concurrent dump skips the torn slot
-  e.ts_us = static_cast<uint64_t>(SteadyNowNs() - origin_ns_) / 1000;
-  e.tid = ThisThreadFlightId();
-  e.type = type;
-  e.a = a;
-  e.b = b;
-  size_t i = 0;
+  uint64_t payload[kPayloadWords] = {};
+  payload[0] = static_cast<uint64_t>(SteadyNowNs() - origin_ns_) / 1000;
+  payload[1] = ThisThreadFlightId() |
+               (uint64_t{static_cast<uint8_t>(type)} << 32);
+  payload[2] = static_cast<uint64_t>(a);
+  payload[3] = static_cast<uint64_t>(b);
+  char text[FlightEvent::kLabelBytes] = {};  // NUL-padded
   if (label != nullptr) {
-    for (; i < FlightEvent::kLabelBytes - 1 && label[i] != '\0'; ++i) {
+    for (size_t i = 0; i < FlightEvent::kLabelBytes - 1 && label[i] != '\0';
+         ++i) {
       // Labels land verbatim in hand-formatted JSON dumps: keep them
       // printable ASCII so the signal-safe writer needs no escaping.
       char c = label[i];
-      e.label[i] = (c < 0x20 || c == '"' || c == '\\') ? '?' : c;
+      text[i] = (c < 0x20 || c == '"' || c == '\\') ? '?' : c;
     }
   }
-  e.label[i] = '\0';
-  e.seq = seq + 1;  // publish; seq 0 means "never completed"
+  std::memcpy(&payload[4], text, sizeof(text));
+
+  Slot& slot = slots_[seq % capacity_];
+  slot.seq.store(0, std::memory_order_relaxed);  // in progress
+  std::atomic_thread_fence(std::memory_order_release);
+  for (size_t w = 0; w < kPayloadWords; ++w) {
+    slot.words[w].store(payload[w], std::memory_order_relaxed);
+  }
+  slot.seq.store(seq + 1, std::memory_order_release);  // publish
+}
+
+bool FlightRecorder::ReadSlot(uint64_t s, FlightEvent* out) const {
+  const Slot& slot = slots_[s % capacity_];
+  if (slot.seq.load(std::memory_order_acquire) != s + 1) return false;
+  uint64_t payload[kPayloadWords];
+  for (size_t w = 0; w < kPayloadWords; ++w) {
+    payload[w] = slot.words[w].load(std::memory_order_relaxed);
+  }
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (slot.seq.load(std::memory_order_relaxed) != s + 1) return false;
+  out->seq = s + 1;
+  out->ts_us = payload[0];
+  out->tid = static_cast<uint32_t>(payload[1]);
+  out->type = static_cast<FlightEventType>(payload[1] >> 32);
+  out->a = static_cast<int64_t>(payload[2]);
+  out->b = static_cast<int64_t>(payload[3]);
+  std::memcpy(out->label, &payload[4], sizeof(out->label));
+  out->label[FlightEvent::kLabelBytes - 1] = '\0';
+  return true;
 }
 
 std::vector<FlightEvent> FlightRecorder::Snapshot() const {
@@ -106,8 +134,8 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
   std::vector<FlightEvent> out;
   out.reserve(kept);
   for (uint64_t s = total - kept; s < total; ++s) {
-    const FlightEvent& e = slots_[s % capacity_];
-    if (e.seq == s + 1) out.push_back(e);  // skip torn/overwritten slots
+    FlightEvent e;
+    if (ReadSlot(s, &e)) out.push_back(e);  // skip overwritten slots
   }
   return out;
 }
@@ -115,12 +143,17 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
 void FlightRecorder::SetCapacity(size_t capacity) {
   HGMINE_CHECK(capacity > 0) << "flight recorder capacity must be >= 1";
   capacity_ = capacity;
-  slots_.assign(capacity_, FlightEvent{});
+  slots_ = std::make_unique<Slot[]>(capacity_);
   next_seq_.store(0, std::memory_order_relaxed);
 }
 
 void FlightRecorder::Clear() {
-  slots_.assign(capacity_, FlightEvent{});
+  for (size_t i = 0; i < capacity_; ++i) {
+    slots_[i].seq.store(0, std::memory_order_relaxed);
+    for (std::atomic<uint64_t>& w : slots_[i].words) {
+      w.store(0, std::memory_order_relaxed);
+    }
+  }
   next_seq_.store(0, std::memory_order_relaxed);
 }
 
@@ -157,8 +190,8 @@ void FlightRecorder::DumpToFd(int fd) const {
   WriteStr(fd, buf);
   bool first = true;
   for (uint64_t s = total - kept; s < total; ++s) {
-    const FlightEvent& e = slots_[s % capacity_];
-    if (e.seq != s + 1) continue;  // torn slot
+    FlightEvent e;
+    if (!ReadSlot(s, &e)) continue;  // overwritten or being written
     std::snprintf(buf, sizeof(buf),
                   "%s  {\"seq\": %llu, \"ts_us\": %llu, \"tid\": %u, "
                   "\"type\": \"%s\", \"label\": \"%s\", \"a\": %lld, "

@@ -13,7 +13,7 @@
 /// fixed-size ring that is:
 ///
 ///  * always on: you cannot enable a black box after the crash.  A
-///    Record() is one relaxed fetch_add plus a ~80-byte POD store, and
+///    Record() is one relaxed fetch_add plus ~90 bytes of atomic stores, and
 ///    events are structural (per level / per retry, never per query), so
 ///    the steady-state cost is unmeasurable;
 ///  * lock-free and allocation-free: Record() is safe from signal
@@ -33,14 +33,18 @@
 ///     a trip is not fatal, but a long-running service wants the
 ///     surrounding events persisted while they are still in the ring.
 ///
-/// Concurrency note on wrap-around: writers claim slots with an atomic
-/// sequence counter; two writers more than `capacity` events apart can
-/// briefly race on one slot, and the crash dump tolerates the resulting
-/// torn record (it is marked by a sequence mismatch and skipped).  The
-/// ordered Snapshot() used by tests reads quiescent state.
+/// Concurrency: writers claim slots with an atomic sequence counter and
+/// publish each slot with a seqlock — the payload words are relaxed
+/// atomics stored between clearing the slot's sequence number and a
+/// release store of it, and readers (Snapshot, the dumps) keep a copy only
+/// when the sequence number reads the same before and after.  A slot being
+/// rewritten is therefore skipped, never read torn.  The one exception is
+/// two writers more than `capacity` events apart racing on one slot; the
+/// dump then may keep a record mixing their payloads (still no data race).
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -65,8 +69,7 @@ enum class FlightEventType : uint8_t {
 /// Stable name for \p t ("phase", "budget_trip", ...).
 const char* FlightEventTypeName(FlightEventType t);
 
-/// One ring slot.  Fixed-size POD: filling one never allocates, so
-/// Record() stays signal-safe.
+/// One recorded event, as Snapshot() returns it.
 struct FlightEvent {
   static constexpr size_t kLabelBytes = 48;
 
@@ -145,9 +148,23 @@ class FlightRecorder {
   void RearmDump() { dumped_.store(false, std::memory_order_relaxed); }
 
  private:
+  /// ts_us, tid|type, a, b, then the label bytes.
+  static constexpr size_t kPayloadWords = 4 + FlightEvent::kLabelBytes / 8;
+
+  /// One ring slot.  Fixed size and lock-free: filling one never
+  /// allocates or blocks, so Record() stays signal-safe.
+  struct Slot {
+    std::atomic<uint64_t> seq{0};  ///< 0 while unwritten or being written
+    std::atomic<uint64_t> words[kPayloadWords] = {};
+  };
+
   FlightRecorder();
 
-  std::vector<FlightEvent> slots_;
+  /// Copies the event with sequence number \p s (0-based) into \p out;
+  /// false when its slot is unwritten, overwritten or being written.
+  bool ReadSlot(uint64_t s, FlightEvent* out) const;
+
+  std::unique_ptr<Slot[]> slots_;
   size_t capacity_ = kDefaultCapacity;
   std::atomic<uint64_t> next_seq_{0};
   std::atomic<bool> dump_on_trip_{false};

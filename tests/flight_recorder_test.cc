@@ -10,9 +10,11 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -181,6 +183,40 @@ TEST_F(FlightRecorderTest, BudgetTripLandsInRingAndDumpsWhenArmed) {
   EXPECT_NE(dump.find("\"budget_trip\""), std::string::npos);
   EXPECT_NE(dump.find("budget_trip_dump"), std::string::npos);
   ::unlink(path.c_str());
+}
+
+// Record publishes each slot while Snapshot (and the dumps) read the
+// ring from another thread.  Every event a concurrent Snapshot returns
+// must be one whole record — its label, a and b written together — and
+// under ThreadSanitizer the pair must be race-free.
+TEST_F(FlightRecorderTest, ConcurrentRecordAndSnapshotNeverTear) {
+  obs::FlightRecorder& fr = obs::FlightRecorder::Global();
+  fr.SetCapacity(16);
+  constexpr int kEvents = 20000;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kEvents; ++i) {
+      const std::string label = "event-" + std::to_string(i % 10);
+      fr.Record(obs::FlightEventType::kMark, label.c_str(), i, 2 * i);
+    }
+    done.store(true);
+  });
+  size_t seen = 0;
+  while (!done.load()) {
+    uint64_t last_seq = 0;
+    for (const obs::FlightEvent& e : fr.Snapshot()) {
+      EXPECT_GT(e.seq, last_seq);
+      last_seq = e.seq;
+      EXPECT_EQ(e.seq, static_cast<uint64_t>(e.a) + 1);
+      EXPECT_EQ(e.b, 2 * e.a);
+      EXPECT_EQ(std::string(e.label), "event-" + std::to_string(e.a % 10));
+      ++seen;
+    }
+  }
+  writer.join();
+  EXPECT_EQ(fr.total_recorded(), static_cast<uint64_t>(kEvents));
+  EXPECT_EQ(fr.Snapshot().size(), 16u);
+  RecordProperty("events_seen_concurrently", static_cast<int>(seen));
 }
 
 TEST_F(FlightRecorderTest, InjectedCheckFailureDumpsPrecedingEvents) {

@@ -71,26 +71,20 @@ TEST(ParallelDeterminismTest, AprioriIdenticalAcrossThreadCounts) {
     TransactionDatabase db = GenerateQuest(params, &rng);
     const size_t minsup = 25;
 
-    for (SupportCountingMode mode :
-         {SupportCountingMode::kTidsets, SupportCountingMode::kHorizontal,
-          SupportCountingMode::kHashTree}) {
-      ThreadPool sequential(1);
-      AprioriOptions base_opts;
-      base_opts.counting = mode;
-      base_opts.pool = &sequential;
-      AprioriResult base = MineFrequentSets(&db, minsup, base_opts);
-      // Theorem 10: every candidate is evaluated exactly once.
-      EXPECT_EQ(base.support_counts.load(),
-                base.frequent.size() + base.negative_border.size());
+    ThreadPool sequential(1);
+    AprioriOptions base_opts;
+    base_opts.pool = &sequential;
+    AprioriResult base = MineFrequentSets(&db, minsup, base_opts);
+    // Theorem 10: every candidate is evaluated exactly once.
+    EXPECT_EQ(base.support_counts.load(),
+              base.frequent.size() + base.negative_border.size());
 
-      for (size_t threads : kThreadCounts) {
-        ThreadPool pool(threads);
-        AprioriOptions opts;
-        opts.counting = mode;
-        opts.pool = &pool;
-        AprioriResult r = MineFrequentSets(&db, minsup, opts);
-        ExpectSameAprioriResult(base, r, threads);
-      }
+    for (size_t threads : kThreadCounts) {
+      ThreadPool pool(threads);
+      AprioriOptions opts;
+      opts.pool = &pool;
+      AprioriResult r = MineFrequentSets(&db, minsup, opts);
+      ExpectSameAprioriResult(base, r, threads);
     }
   }
 }
@@ -282,6 +276,18 @@ TEST(ParallelDeterminismTest, PartitionMinerMatchesAprioriAtAnyShardCount) {
         if (threads == kThreadCounts[0]) {
           first_evaluations = r.phase2_evaluations;
           first_reused = r.phase2_reused;
+          // The Theorem-7 transversal border is an independent
+          // construction of the family the apriori-gen derivation gave.
+          std::vector<Bitset> theory;
+          for (const FrequentItemset& f : r.frequent) {
+            theory.push_back(f.items);
+          }
+          BergeTransversals berge;
+          std::vector<Bitset> exact =
+              NegativeBorderViaTransversals(theory, db.num_items(), &berge);
+          CanonicalSort(&exact);
+          EXPECT_EQ(r.negative_border, exact)
+              << "transversal border differs at K=" << shards;
         } else {
           EXPECT_EQ(r.phase2_evaluations, first_evaluations)
               << "phase-2 pass count differs at K=" << shards << ", "
@@ -290,17 +296,6 @@ TEST(ParallelDeterminismTest, PartitionMinerMatchesAprioriAtAnyShardCount) {
               << "exact-count reuse differs at K=" << shards << ", "
               << threads << " threads";
         }
-      }
-      // The Theorem-7 transversal border is an independent construction
-      // of the same family the default derivation produced above.
-      {
-        ShardedTransactionDatabase sharded =
-            ShardedTransactionDatabase::Split(db, shards);
-        PartitionOptions opts;
-        opts.border_via_transversals = true;
-        PartitionResult r = MinePartitioned(&sharded, minsup, opts);
-        EXPECT_EQ(base.negative_border, r.negative_border)
-            << "transversal border differs at K=" << shards;
       }
     }
   }

@@ -12,6 +12,8 @@
 #include "common/thread_pool.h"
 #include "core/levelwise.h"
 #include "core/oracle.h"
+#include "core/theory.h"
+#include "hypergraph/transversal_berge.h"
 #include "mining/apriori.h"
 #include "mining/frequency_oracle.h"
 #include "mining/generators.h"
@@ -232,21 +234,6 @@ TEST(PartitionMinerTest, MinSupportZeroClampsToOne) {
   }
 }
 
-TEST(PartitionMinerTest, HorizontalLocalCountingAgrees) {
-  TransactionDatabase db = QuestDatabase(13);
-  AprioriResult expected = MineFrequentSets(&db, 20);
-  ShardedTransactionDatabase sharded =
-      ShardedTransactionDatabase::Split(db, 4);
-  PartitionOptions opts;
-  opts.local_counting = SupportCountingMode::kHorizontal;
-  PartitionResult r = MinePartitioned(&sharded, 20, opts);
-  ASSERT_EQ(r.frequent.size(), expected.frequent.size());
-  for (size_t i = 0; i < r.frequent.size(); ++i) {
-    EXPECT_EQ(r.frequent[i].items, expected.frequent[i].items);
-    EXPECT_EQ(r.frequent[i].support, expected.frequent[i].support);
-  }
-}
-
 TEST(PartitionMinerTest, AsAprioriResultFeedsRuleGeneration) {
   TransactionDatabase db = Fig1Database();
   ShardedTransactionDatabase sharded =
@@ -307,24 +294,23 @@ TEST(PartitionMinerTest, ReuseAccountingIsConsistent) {
   }
 }
 
-// --exact-border: the Theorem 7 transversal construction and the default
-// apriori-gen derivation produce the identical Bd-(Th).
+// The Theorem 7 transversal construction over the result's theory and
+// the apriori-gen derivation the miner uses produce the identical Bd-(Th).
 TEST(PartitionMinerTest, TransversalBorderMatchesGeneration) {
   TransactionDatabase db = QuestDatabase(29);
   for (size_t k : {size_t{1}, size_t{3}}) {
     ShardedTransactionDatabase sharded =
         ShardedTransactionDatabase::Split(db, k);
     PartitionResult generated = MinePartitioned(&sharded, 20);
-    PartitionOptions opts;
-    opts.border_via_transversals = true;
-    PartitionResult exact = MinePartitioned(&sharded, 20, opts);
-    EXPECT_EQ(generated.negative_border, exact.negative_border)
-        << "K=" << k;
-    ASSERT_EQ(generated.frequent.size(), exact.frequent.size());
-    for (size_t i = 0; i < generated.frequent.size(); ++i) {
-      EXPECT_EQ(generated.frequent[i].items, exact.frequent[i].items);
-      EXPECT_EQ(generated.frequent[i].support, exact.frequent[i].support);
+    std::vector<Bitset> theory;
+    for (const FrequentItemset& f : generated.frequent) {
+      theory.push_back(f.items);
     }
+    BergeTransversals berge;
+    std::vector<Bitset> exact =
+        NegativeBorderViaTransversals(theory, db.num_items(), &berge);
+    CanonicalSort(&exact);
+    EXPECT_EQ(generated.negative_border, exact) << "K=" << k;
   }
 }
 

@@ -9,7 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -244,6 +248,72 @@ TEST(RobustnessAprioriTest, PreItemScanTripStillCheckpointsItsState) {
   ASSERT_EQ(freq->size(), 1u);
   EXPECT_EQ((*freq)[0].items.Count(), 0u);
   EXPECT_EQ((*freq)[0].value, db.num_transactions());
+}
+
+// On-disk compatibility: tests/data holds the checkpoint text an earlier
+// build wrote for a mid-run query-budget trip on SmallQuestDatabase(17)
+// at minsup 5 (cap = half the uninterrupted run's queries).  This build
+// must write the same bytes for the same trip and resume each file to the
+// uninterrupted result bit for bit, so kinds "apriori" and "levelwise"
+// keep their scalars, sections and order.
+std::string ReadTestData(const std::string& name) {
+  const std::filesystem::path path =
+      std::filesystem::path(__FILE__).parent_path() / "data" / name;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(RobustnessCheckpointCompatTest, AprioriGoldenCheckpointResumes) {
+  TransactionDatabase db = SmallQuestDatabase(17);
+  const std::string golden = ReadTestData("apriori_budget_trip.ckpt");
+  AprioriResult clean = MineFrequentSets(&db, 5);
+  AprioriOptions opts;
+  opts.budget.max_queries = clean.support_counts / 2;
+  AprioriResult part = MineFrequentSets(&db, 5, opts);
+  ASSERT_TRUE(part.checkpoint.has_value());
+  EXPECT_EQ(SerializeCheckpoint(*part.checkpoint), golden);
+
+  Result<Checkpoint> cp = ParseCheckpoint(golden);
+  ASSERT_TRUE(cp.ok()) << cp.status().message();
+  auto resumed = ResumeFrequentSets(&db, *cp);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  EXPECT_EQ(resumed->stop_reason, StopReason::kCompleted);
+  ExpectSameApriori(clean, *resumed);
+}
+
+TEST(RobustnessCheckpointCompatTest, UnsortedFrontierIsRejected) {
+  // The join needs its frontier sorted; a checkpoint that is not is
+  // refused rather than silently mined wrong.
+  TransactionDatabase db = SmallQuestDatabase(17);
+  Result<Checkpoint> cp =
+      ParseCheckpoint(ReadTestData("levelwise_budget_trip.ckpt"));
+  ASSERT_TRUE(cp.ok()) << cp.status().message();
+  for (auto& [name, entries] : cp->sections) {
+    if (name == "frontier") std::swap(entries[0], entries[1]);
+  }
+  FrequencyOracle oracle(&db, 5);
+  EXPECT_FALSE(ResumeLevelwise(&oracle, *cp).ok());
+}
+
+TEST(RobustnessCheckpointCompatTest, LevelwiseGoldenCheckpointResumes) {
+  TransactionDatabase db = SmallQuestDatabase(17);
+  const std::string golden = ReadTestData("levelwise_budget_trip.ckpt");
+  FrequencyOracle oracle(&db, 5);
+  LevelwiseResult clean = RunLevelwise(&oracle);
+  LevelwiseOptions opts;
+  opts.budget.max_queries = clean.queries / 2;
+  LevelwiseResult part = RunLevelwise(&oracle, opts);
+  ASSERT_TRUE(part.checkpoint.has_value());
+  EXPECT_EQ(SerializeCheckpoint(*part.checkpoint), golden);
+
+  Result<Checkpoint> cp = ParseCheckpoint(golden);
+  ASSERT_TRUE(cp.ok()) << cp.status().message();
+  auto resumed = ResumeLevelwise(&oracle, *cp);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  ExpectSameLevelwise(clean, *resumed);
 }
 
 TEST(RobustnessPartitionTest, ResumeIsBitIdenticalAtEveryTripPoint) {
