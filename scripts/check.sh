@@ -20,33 +20,37 @@
 #                             kill -9 + restart bit-identity, SIGTERM
 #                             drain report; plus the serve unit and
 #                             chaos suites)
-#   8. perf smoke             ctest -L perf on the plain build
+#   8. driver contract        ctest -L driver --repeat until-fail:3 -j
+#                             on the plain build (the level driver's
+#                             engines stay bit-identical and certified
+#                             under repeated parallel runs)
+#   9. perf smoke             ctest -L perf on the plain build
 #                             (bench_partition / bench_stream /
 #                             bench_serve --quick fixtures with their
 #                             wall-clock budgets)
-#   9. bench regression gate  scripts/bench_gate.sh: comparator self-test,
+#  10. bench regression gate  scripts/bench_gate.sh: comparator self-test,
 #                             then each --quick hgm.run_report envelope
 #                             diffed against bench/baselines/ (counts
 #                             exact, timings ratio-thresholded).  Skipped
 #                             when python3 is not installed.
-#  10. audited build          -DHGMINE_AUDIT=ON, full ctest with every
+#  11. audited build          -DHGMINE_AUDIT=ON, full ctest with every
 #                             paper-contract auditor live
-#  11. thread-safety          clang -Wthread-safety -Werror=thread-safety
+#  12. thread-safety          clang -Wthread-safety -Werror=thread-safety
 #                             build (the `analyze` preset's configuration;
 #                             compile-only).  Skipped when clang is not
 #                             installed, like the lint stages.
-#  12. invariant queries      clang-query rule selftest + the rules over
+#  13. invariant queries      clang-query rule selftest + the rules over
 #                             src/ (scripts/lint_query_selftest.sh; also
 #                             part of stage 1's lint.sh).  Skipped when
 #                             clang-query is not installed.
-#  13. ASan+UBSan build       HGMINE_SANITIZE=address
-#  14. TSan build             HGMINE_SANITIZE=thread (parallel batch
+#  14. ASan+UBSan build       HGMINE_SANITIZE=address
+#  15. TSan build             HGMINE_SANITIZE=thread (parallel batch
 #                             layer; full ctest includes the chaos and
 #                             serve suites, so fault injection and the
 #                             daemon's thread choreography run under
 #                             TSan too)
 #
-# Stages 13 and 14 are skipped with --fast.  Build dirs are check-* so
+# Stages 14 and 15 are skipped with --fast.  Build dirs are check-* so
 # they never collide with a developer's build/.
 #
 # Usage: scripts/check.sh [--fast]
@@ -110,6 +114,12 @@ echo "==== check: serving ===="
 # -fsanitize=thread, so the worker/watchdog/checkpointer interleavings
 # get a data-race replay too.
 (cd check-plain && ctest -L serve --output-on-failure)
+
+echo "==== check: driver contract ===="
+# Every suite asserting the level driver's contract, repeated in parallel:
+# a flaky result here is a defect, not noise.
+(cd check-plain && ctest -L driver --repeat until-fail:3 -j "$JOBS" \
+  --output-on-failure)
 
 echo "==== check: perf smoke ===="
 # bench_partition --quick: partition(K=4, T=4) must match Apriori's

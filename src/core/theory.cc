@@ -4,8 +4,6 @@
 #include <cassert>
 #include <unordered_set>
 
-#include "common/apriori_gen.h"
-
 namespace hgm {
 
 std::vector<Bitset> PositiveBorder(std::vector<Bitset> s) {
@@ -25,47 +23,6 @@ std::vector<Bitset> NegativeBorderViaTransversals(
     // edge-free hypergraph is {∅}, which engine->Compute returns.
   }
   return engine->Compute(h).SortedEdges();
-}
-
-std::vector<Bitset> NegativeBorderViaGeneration(const std::vector<Bitset>& s,
-                                                size_t n) {
-  std::vector<Bitset> border;
-  if (s.empty()) {
-    border.push_back(Bitset(n));
-    return border;
-  }
-  size_t max_k = 0;
-  for (const Bitset& x : s) max_k = std::max(max_k, x.Count());
-  std::vector<std::vector<ItemVec>> levels(max_k + 1);
-  std::vector<std::unordered_set<Bitset, BitsetHash>> level_sets(max_k + 2);
-  for (const Bitset& x : s) {
-    const size_t k = x.Count();
-    ItemVec v;
-    v.reserve(k);
-    x.ForEach([&](size_t i) { v.push_back(static_cast<uint32_t>(i)); });
-    levels[k].push_back(std::move(v));
-    level_sets[k].insert(x);
-  }
-  for (std::vector<ItemVec>& level : levels) {
-    std::sort(level.begin(), level.end());
-  }
-  // Level 1 is not a join: the minimal infrequent singletons are simply
-  // the items outside s (s downward closed and non-empty contains ∅, so
-  // ∅ is never in the border here).
-  for (size_t v = 0; v < n; ++v) {
-    Bitset single = Bitset::Singleton(n, v);
-    if (!level_sets[1].contains(single)) border.push_back(std::move(single));
-  }
-  for (size_t k = 1; k <= max_k; ++k) {
-    if (levels[k].empty()) break;  // downward closed: nothing above either
-    std::vector<ItemVec> cands = AprioriGen(levels[k], level_sets[k], n);
-    for (const ItemVec& cand : cands) {
-      Bitset x = Bitset::FromIndices(n, cand);
-      if (!level_sets[k + 1].contains(x)) border.push_back(std::move(x));
-    }
-  }
-  CanonicalSort(&border);
-  return border;
 }
 
 std::vector<Bitset> NegativeBorderBrute(const std::vector<Bitset>& s,

@@ -35,18 +35,6 @@ std::vector<Bitset> PositiveBorder(std::vector<Bitset> s);
 std::vector<Bitset> NegativeBorderViaTransversals(
     const std::vector<Bitset>& s, size_t n, TransversalAlgorithm* engine);
 
-/// Negative border of a *downward-closed* \p s by levelwise candidate
-/// generation, no transversal computation: Bd-_1 is the singletons
-/// outside s, and Bd-_{k+1} = apriori-gen(s_k) \ s_{k+1} — exactly the
-/// candidates Apriori would generate and reject.  A minimal infrequent
-/// set of size m >= 2 has all its (m-1)-subsets in s, so the join+prune
-/// over s_{m-1} produces it and nothing else; the result is therefore
-/// the same family as NegativeBorderViaTransversals (Theorem 7), at the
-/// cost of the join instead of a transversal enumeration.  For empty s,
-/// Bd- = {∅}.  Returns the border canonically sorted.
-std::vector<Bitset> NegativeBorderViaGeneration(const std::vector<Bitset>& s,
-                                                size_t n);
-
 /// Brute-force negative border: enumerate all 2^n subsets and keep the
 /// minimal ones outside the downward closure of S.  Reference for tests;
 /// n <= ~22.

@@ -453,7 +453,8 @@ Result<MineAnswer> Session::MineLocked(
 
   // A parked partial mine for the same (min_support, shards, rows)
   // resumes mid-lattice instead of restarting — the serve layer's resume
-  // contract.  Stale parks (rows or shape changed) are dropped.
+  // contract.  Stale parks (rows or shape changed) are dropped, and a
+  // park the engine refuses to resume falls back to a fresh mine.
   std::optional<Checkpoint> resume_from;
   if (db == db_.get()) {
     auto parked = pending_mines_.find(min_support);
@@ -479,12 +480,14 @@ Result<MineAnswer> Session::MineLocked(
     if (resume_from.has_value()) {
       Result<AprioriResult> resumed =
           ResumeFrequentSets(db, *resume_from, opts);
-      if (!resumed.ok()) return resumed.status();
-      mined = std::move(resumed.value());
-      answer.resumed = true;
-    } else {
-      mined = MineFrequentSets(db, min_support, opts);
+      if (resumed.ok()) {
+        mined = std::move(resumed.value());
+        answer.resumed = true;
+      } else {
+        HGM_OBS_COUNT("serve.park_discarded", 1);
+      }
     }
+    if (!answer.resumed) mined = MineFrequentSets(db, min_support, opts);
   } else {
     ShardedTransactionDatabase sharded =
         ShardedTransactionDatabase::Split(*db, shards);
@@ -504,12 +507,14 @@ Result<MineAnswer> Session::MineLocked(
     if (resume_from.has_value()) {
       Result<PartitionResult> resumed =
           ResumePartition(&sharded, *resume_from, popts);
-      if (!resumed.ok()) return resumed.status();
-      part = std::move(resumed.value());
-      answer.resumed = true;
-    } else {
-      part = MinePartitioned(&sharded, min_support, popts);
+      if (resumed.ok()) {
+        part = std::move(resumed.value());
+        answer.resumed = true;
+      } else {
+        HGM_OBS_COUNT("serve.park_discarded", 1);
+      }
     }
+    if (!answer.resumed) part = MinePartitioned(&sharded, min_support, popts);
     answer.failed_shards = part.failed_shards;
     answer.shard_retries = part.shard_retries;
     if (!part.status.ok()) {

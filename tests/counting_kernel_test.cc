@@ -3,17 +3,20 @@
 // bit with the horizontal chunk scan and with the uncached capped tidset
 // chain, on dense and sparse databases at several thread counts; the
 // distributed-cap sharded threshold test must agree with the serial
-// shard walk; and the apriori-gen negative-border derivation must equal
-// the Theorem 7 transversal construction.
+// shard walk; and the level driver's negative border (apriori-gen's
+// rejected candidates) must equal the Theorem 7 transversal construction.
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
 #include <vector>
 
 #include "common/bitset.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/checkpoint.h"
+#include "core/levelwise.h"
+#include "core/oracle.h"
 #include "core/theory.h"
 #include "hypergraph/transversal_berge.h"
 #include "mining/generators.h"
@@ -226,14 +229,21 @@ TEST(CountingKernelTest, DistributedCapThresholdMatchesSerial) {
   }
 }
 
-// The combinatorial border derivation (apriori-gen's rejected candidates)
-// produces exactly the Theorem 7 transversal border on random downward-
-// closed theories, including the empty and trivial corners.
+// The level driver's border (apriori-gen's rejected candidates, the Bd-
+// partition phase 2 and stream repair report) is exactly the Theorem 7
+// transversal border on random downward-closed theories, including the
+// empty and trivial corners.
 TEST(CountingKernelTest, BorderViaGenerationMatchesTransversals) {
   BergeTransversals berge;
   const size_t n = 10;
-  EXPECT_EQ(NegativeBorderViaGeneration({}, n),
-            NegativeBorderViaTransversals({}, n, &berge));
+  auto driver_border = [n](const std::vector<Bitset>& theory) {
+    std::unordered_set<Bitset, BitsetHash> members(theory.begin(),
+                                                   theory.end());
+    FunctionOracle oracle(
+        n, [&members](const Bitset& x) { return members.contains(x); });
+    return RunLevelwise(&oracle).negative_border;
+  };
+  EXPECT_EQ(driver_border({}), NegativeBorderViaTransversals({}, n, &berge));
   Rng rng(61);
   for (int iter = 0; iter < 30; ++iter) {
     std::vector<Bitset> seeds;
@@ -244,7 +254,7 @@ TEST(CountingKernelTest, BorderViaGenerationMatchesTransversals) {
           Bitset::FromIndices(n, rng.SampleWithoutReplacement(n, size)));
     }
     std::vector<Bitset> theory = DownwardClosure(seeds, n);
-    std::vector<Bitset> generated = NegativeBorderViaGeneration(theory, n);
+    std::vector<Bitset> generated = driver_border(theory);
     EXPECT_EQ(generated, NegativeBorderViaTransversals(theory, n, &berge));
     EXPECT_EQ(generated, NegativeBorderBrute(theory, n));
   }

@@ -275,6 +275,57 @@ TEST(ServeSessionTest, TrippedMineParksAndResumesBitIdentically) {
             Fig1Fingerprint(2));
 }
 
+TEST(ServeSessionTest, RefusedParkFallsBackToAFreshMine) {
+  ScratchDir dir("refused_park");
+  ThreadPool pool(1);
+  SessionOptions options;
+  options.state_dir = dir.path();
+  {
+    auto opened = Session::Open(OpenRequest("p1"), options);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    RunBudget tiny;
+    tiny.max_queries = 3;
+    auto partial = opened.value()->Mine(2, 0, tiny, &pool, std::nullopt);
+    ASSERT_TRUE(partial.ok());
+    ASSERT_EQ(partial.value().stop_reason, StopReason::kQueryBudget);
+    ASSERT_TRUE(opened.value()->SaveWarm().ok());
+  }
+  // Corrupt the genuine park before recovery: it still parses and
+  // matches the session's shape, but no engine resumes its kind.
+  const std::string park = dir.path() + "/p1.mine.2.ckpt";
+  std::string text;
+  {
+    std::FILE* in = std::fopen(park.c_str(), "r");
+    ASSERT_NE(in, nullptr) << "no parked mine at " << park;
+    char buf[4096];
+    for (size_t got; (got = std::fread(buf, 1, sizeof buf, in)) > 0;) {
+      text.append(buf, got);
+    }
+    std::fclose(in);
+  }
+  const size_t kind = text.find("kind apriori");
+  ASSERT_NE(kind, std::string::npos);
+  text.replace(kind, 12, "kind bogus");
+  {
+    std::FILE* out = std::fopen(park.c_str(), "w");
+    ASSERT_NE(out, nullptr);
+    std::fwrite(text.data(), 1, text.size(), out);
+    std::fclose(out);
+  }
+
+  auto recovered = Session::Recover("p1", options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  auto mined = recovered.value()->Mine(2, 0, RunBudget{}, &pool,
+                                       std::nullopt);
+  ASSERT_TRUE(mined.ok()) << mined.status().message();
+  EXPECT_FALSE(mined.value().resumed);
+  EXPECT_EQ(mined.value().stop_reason, StopReason::kCompleted);
+  EXPECT_EQ(TheoryFingerprint(mined.value().frequent,
+                              mined.value().maximal,
+                              mined.value().negative_border),
+            Fig1Fingerprint(2));
+}
+
 TEST(ServeSessionTest, RulesMatchTheBatchRuleGenerator) {
   ThreadPool pool(1);
   auto opened = Session::Open(OpenRequest("rules"), SessionOptions{});
